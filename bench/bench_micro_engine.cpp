@@ -9,21 +9,12 @@
 // depth stays constant, so ns/event isolates queue + dispatch + closure
 // storage cost at that depth.
 //
-// A third workload covers the sharded event loop (DESIGN.md §14): a
-// 64k-node world runs window-parallel at 1/2/4/8 shards, with ~16
-// splitmix rounds of per-event state work and 10% cross-partition
-// messages whose latency respects the lookahead. Digests must be
-// bit-identical across every shard count; wall-clock speedup is recorded
-// per count (and only meaningful on a machine with that many lanes —
-// the report carries hardware_lanes so the checker can tell).
-//
-// Three modes:
+// Two modes:
 //   * default            — the usual google-benchmark suite,
-//   * --shards           — just the sharded sweep, printed to stdout,
 //   * --json[=PATH]      — skip google-benchmark and self-time the
-//                          seed/current engine pairs at four queue depths
-//                          and two closure sizes plus the sharded sweep,
-//                          writing a machine-readable report (default
+//                          seed/current engine pairs at five queue depths
+//                          and two closure sizes, writing a
+//                          machine-readable report (default
 //                          BENCH_engine.json; schema- and threshold-
 //                          checked by tools/check_bench_engine.py).
 #include <benchmark/benchmark.h>
@@ -40,9 +31,7 @@
 
 #include "common/json.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "common/types.hpp"
-#include "exec/policy.hpp"
 #include "sim/audit.hpp"
 #include "sim/engine.hpp"
 
@@ -223,153 +212,6 @@ BENCHMARK(BM_HoldSeedPooled)->Apply(hold_args);
 BENCHMARK(BM_HoldEngineInline)->Apply(hold_args);
 BENCHMARK(BM_HoldEnginePooled)->Apply(hold_args);
 
-// --- sharded window-parallel hold ----------------------------------------
-
-constexpr std::size_t kShardNodes = 65'536;
-constexpr Seconds kShardHorizon = 1'000.0;
-constexpr Seconds kLookahead = 50.0;
-
-/// splitmix64 finalizer — the sharded workload's per-node state advance
-/// and its only randomness source, so every shard count replays the
-/// identical event tree.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
-}
-
-double unit64(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1p-53;
-}
-
-/// 64k per-node state machines: each tick burns ~16 splitmix rounds
-/// (the "protocol work" a real kernel would do), reschedules itself, and
-/// sends a cross-partition message 10% of the time with latency >= the
-/// lookahead, so the conservative-window contract holds by construction.
-class ShardHold {
- public:
-  explicit ShardHold(std::size_t shards) : engine_(tuned(shards)) {
-    state_.resize(kShardNodes);
-    for (asap::NodeId n = 0; n < kShardNodes; ++n) {
-      state_[n] = mix64(0x51A2DULL + n);
-      const Seconds at = 5.0 * unit64(mix64(state_[n]));
-      engine_.schedule_at(at, n, [this, n] { tick(n); });
-    }
-  }
-
-  void run(asap::exec::Policy& policy) {
-    engine_.run_window_parallel(policy, kShardHorizon, kLookahead);
-  }
-
-  std::uint64_t digest() const { return engine_.digest(); }
-  std::uint64_t events() const { return engine_.executed(); }
-
- private:
-  static asap::sim::EngineTuning tuned(std::size_t shards) {
-    asap::sim::EngineTuning t;
-    t.shards = shards;
-    t.causal_keys = true;  // window-parallel requirement
-    return t;
-  }
-
-  void tick(asap::NodeId n) {
-    std::uint64_t s = state_[n];
-    for (int r = 0; r < 16; ++r) s = mix64(s);
-    state_[n] = s;
-    if ((s >> 8) % 10 == 0) {
-      const auto dst = static_cast<asap::NodeId>((s >> 16) % kShardNodes);
-      // latency = lookahead * (1 + u) >= lookahead: rounding is monotone,
-      // so the scheduled time can never undershoot the window end.
-      const Seconds latency = kLookahead * (1.0 + unit64(mix64(s ^ 0xC)));
-      engine_.schedule_in(latency, dst, [this, dst] { poke(dst); });
-    }
-    const Seconds delay = 5.0 + 40.0 * unit64(mix64(s ^ 0xD));
-    if (engine_.now() + delay <= kShardHorizon) {
-      engine_.schedule_in(delay, n, [this, n] { tick(n); });
-    }
-  }
-
-  void poke(asap::NodeId n) {
-    std::uint64_t s = state_[n] ^ 0xB0B0;
-    for (int r = 0; r < 16; ++r) s = mix64(s);
-    state_[n] = s;
-  }
-
-  asap::sim::Engine engine_;
-  std::vector<std::uint64_t> state_;
-};
-
-struct ShardCell {
-  std::size_t shards;
-  double wall_seconds;
-  std::uint64_t events;
-  std::uint64_t digest;
-};
-
-ShardCell run_shard_cell(std::size_t shards) {
-  using Clock = std::chrono::steady_clock;
-  // Min over fresh worlds: an engine cannot rewind, so each repetition
-  // replays from scratch (the replay is bit-identical by design).
-  constexpr int kReps = 2;
-  ShardCell cell{shards, std::numeric_limits<double>::infinity(), 0, 0};
-  for (int rep = 0; rep < kReps; ++rep) {
-    ShardHold hold(shards);
-    asap::exec::SeqPolicy seq;
-    asap::ThreadPool pool(shards > 1 ? shards : 1);
-    asap::exec::PoolPolicy pooled(pool);
-    asap::exec::Policy& policy =
-        shards > 1 ? static_cast<asap::exec::Policy&>(pooled)
-                   : static_cast<asap::exec::Policy&>(seq);
-    const auto start = Clock::now();
-    hold.run(policy);
-    const std::chrono::duration<double> wall = Clock::now() - start;
-    cell.wall_seconds = std::min(cell.wall_seconds, wall.count());
-    cell.events = hold.events();
-    cell.digest = hold.digest();
-  }
-  return cell;
-}
-
-/// Runs the sweep, prints a table, and appends rows to `out` (when
-/// non-null). Returns false if any shard count diverges from the
-/// single-shard digest — that is a correctness failure, not a timing
-/// result.
-bool run_shard_sweep(asap::json::Array* out) {
-  std::vector<ShardCell> cells;
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    cells.push_back(run_shard_cell(shards));
-  }
-  const ShardCell& base = cells.front();
-  bool ok = true;
-  for (const ShardCell& c : cells) {
-    const bool digest_ok = c.digest == base.digest && c.events == base.events;
-    ok = ok && digest_ok;
-    const double speedup = base.wall_seconds / c.wall_seconds;
-    std::printf("shards=%zu nodes=%zu events=%llu wall=%.3fs speedup=%.2fx "
-                "digest=%s\n",
-                c.shards, kShardNodes,
-                static_cast<unsigned long long>(c.events), c.wall_seconds,
-                speedup, digest_ok ? "ok" : "MISMATCH");
-    if (out != nullptr) {
-      out->push_back(asap::json::Object{
-          {"bench", std::string("engine_shard_hold")},
-          {"shards", static_cast<double>(c.shards)},
-          {"nodes", static_cast<double>(kShardNodes)},
-          {"events", static_cast<double>(c.events)},
-          {"wall_seconds", c.wall_seconds},
-          {"speedup", speedup},
-          {"digest_ok", digest_ok},
-      });
-    }
-  }
-  if (!ok) std::fprintf(stderr, "shard digest mismatch: run is broken\n");
-  return ok;
-}
-
 // --- --json mode: self-timed report --------------------------------------
 
 template <typename Eng, std::size_t PayloadBytes>
@@ -429,7 +271,6 @@ int run_json_report(const std::string& path) {
       });
     }
   }
-  const bool shards_ok = run_shard_sweep(&results);
 #ifdef NDEBUG
   const bool release = true;
 #else
@@ -444,7 +285,6 @@ int run_json_report(const std::string& path) {
       {"schema", std::string("asap.bench_engine.v2")},
       {"release_build", release},
       {"audit_build", audit},
-      {"hardware_lanes", static_cast<double>(asap::exec::hardware_lanes())},
       {"unit", std::string("ns_per_event")},
       {"results", std::move(results)},
   }};
@@ -455,7 +295,7 @@ int run_json_report(const std::string& path) {
   }
   f << asap::json::dump(doc) << "\n";
   std::printf("wrote %s\n", path.c_str());
-  return shards_ok ? 0 : 1;
+  return 0;
 }
 
 }  // namespace
@@ -467,9 +307,6 @@ int main(int argc, char** argv) {
     }
     if (std::strncmp(argv[i], "--json=", 7) == 0) {
       return run_json_report(argv[i] + 7);
-    }
-    if (std::strcmp(argv[i], "--shards") == 0) {
-      return run_shard_sweep(nullptr) ? 0 : 1;
     }
   }
   benchmark::Initialize(&argc, argv);

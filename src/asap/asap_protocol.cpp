@@ -313,7 +313,7 @@ void AsapProtocol::warm_up(Seconds duration) {
     for (DocId d : ctx_.live.docs(n)) adv.add_document(ctx_.model.doc(d));
     if (!adv.has_content()) continue;  // free-riders advertise nothing
     const Seconds at = ctx_.rng.uniform(0.0, duration * 0.5);
-    ctx_.engine.schedule_at(at, n, [this, n] {
+    ctx_.engine.schedule_at(at, [this, n] {
       if (!ctx_.online(n)) return;
       auto payload = maybe_pollute(n, advertisers_[n].publish_full());
       deliver_ad(n, AdKind::kFull, ctx_.engine.now(), 1.0, payload, {}, 0);
@@ -327,7 +327,7 @@ void AsapProtocol::schedule_refresh(NodeId n) {
   refresh_scheduled_[n] = 1;
   const Seconds delay =
       params_.refresh_period * ctx_.rng.uniform(0.5, 1.5);
-  ctx_.engine.schedule_in(delay, n, [this, n] { on_refresh_timer(n); });
+  ctx_.engine.schedule_in(delay, [this, n] { on_refresh_timer(n); });
 }
 
 void AsapProtocol::on_refresh_timer(NodeId n) {

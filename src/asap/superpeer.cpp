@@ -386,7 +386,7 @@ void SuperpeerAsap::schedule_round(NodeId sp) {
   if (round_scheduled_[sp]) return;
   round_scheduled_[sp] = 1;
   const Seconds delay = params_.ad_round_period * ctx_.rng.uniform(0.5, 1.5);
-  ctx_.engine.schedule_in(delay, sp, [this, sp] { run_ad_round(sp); });
+  ctx_.engine.schedule_in(delay, [this, sp] { run_ad_round(sp); });
 }
 
 void SuperpeerAsap::run_ad_round(NodeId sp) {
@@ -530,7 +530,7 @@ void SuperpeerAsap::warm_up(Seconds duration) {
     for (DocId d : ctx_.live.docs(n)) adv.add_document(ctx_.model.doc(d));
     if (!adv.has_content()) continue;
     const Seconds at = ctx_.rng.uniform(0.0, duration * 0.5);
-    ctx_.engine.schedule_at(at, n, [this, n] {
+    ctx_.engine.schedule_at(at, [this, n] {
       if (!ctx_.online(n)) return;
       auto payload = maybe_pollute(n, advertisers_[n].publish_full());
       publish(n, AdKind::kFull, ctx_.engine.now(), 1.0, payload, {}, 0);
@@ -543,7 +543,7 @@ void SuperpeerAsap::schedule_refresh(NodeId n) {
   if (refresh_scheduled_[n]) return;
   refresh_scheduled_[n] = 1;
   const Seconds delay = params_.refresh_period * ctx_.rng.uniform(0.5, 1.5);
-  ctx_.engine.schedule_in(delay, n, [this, n] { on_refresh_timer(n); });
+  ctx_.engine.schedule_in(delay, [this, n] { on_refresh_timer(n); });
 }
 
 void SuperpeerAsap::on_refresh_timer(NodeId n) {

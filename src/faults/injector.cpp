@@ -42,7 +42,7 @@ void FaultInjector::arm(sim::Engine& engine, overlay::Overlay& ov,
                         trace::LiveContent& live, sim::Liveness& liveness,
                         obs::RunObserver* obs, StormQueryFn on_storm_query) {
   for (const auto& c : plan_.crashes()) {
-    engine.schedule_at(c.at, c.node, [this, &live, &liveness, obs, c] {
+    engine.schedule_at(c.at, [this, &live, &liveness, obs, c] {
       if (!live.online(c.node)) return;  // defensive; the plan avoids churn
       // The node vanishes without the leave protocol: ground truth flips
       // immediately, the overlay keeps it until keep-alives time out.
@@ -52,13 +52,13 @@ void FaultInjector::arm(sim::Engine& engine, overlay::Overlay& ov,
       ASAP_OBS_HOOK(obs, on_fault_injected());
       ASAP_OBS_HOOK(obs, trace_fault(c.at, "crash", c.node));
     });
-    engine.schedule_at(c.detect_at, c.node, [&ov, obs, c] {
+    engine.schedule_at(c.detect_at, [&ov, obs, c] {
       if (ov.attached(c.node)) ov.detach(c.node);
       ASAP_OBS_HOOK(obs, trace_fault(c.detect_at, "detect", c.node));
     });
   }
-  // Partition/burst markers are world-global (no owner node), so they use
-  // the owner-less overloads and execute on shard 0.
+  // Window begin/end events only count and trace. Partitions and bursts
+  // act through transmission_lost(), storms through the queries below.
   for (const auto& p : plan_.partitions()) {
     const Seconds begin = p.begin;
     const Seconds end = p.end;
@@ -98,7 +98,7 @@ void FaultInjector::arm(sim::Engine& engine, overlay::Overlay& ov,
     // The schedule was precomputed at plan-build time; delivery draws
     // nothing, so the flash crowd composes with the loss dice untouched.
     for (const auto& sq : plan_.storm_queries()) {
-      engine.schedule_at(sq.at, sq.node, [this, on_storm_query, sq] {
+      engine.schedule_at(sq.at, [this, on_storm_query, sq] {
         ++report_.storm_queries;
         on_storm_query(sq);
       });

@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
-#include "exec/policy.hpp"
 #include "sim/audit.hpp"
 
 namespace asap::harness {
@@ -151,16 +150,12 @@ MatrixResult run_matrix(const MatrixSpec& spec) {
     return cfg;
   };
 
-  // jobs = 0 auto-detects through the shared clamp: hardware_concurrency()
-  // may legitimately report 0, and the fan-out must degrade to one lane,
-  // never to a zero-worker pool.
-  const std::size_t jobs =
-      spec.jobs == 0 ? exec::hardware_lanes() : spec.jobs;
-  ThreadPool pool(jobs);
-  exec::PoolPolicy policy(pool);
+  // jobs = 0 sizes the pool to the hardware; ThreadPool clamps that to at
+  // least one worker (hardware_concurrency() may legitimately report 0).
+  ThreadPool pool(spec.jobs);
   std::vector<std::unique_ptr<const World>> worlds(num_worlds);
   std::vector<obs::PhaseProfile> world_profiles(num_worlds);
-  policy.run(num_worlds, [&](std::size_t w) {
+  pool.parallel_for(num_worlds, [&](std::size_t w) {
     const TopologyKind topo = spec.topologies[w / trials];
     const std::size_t trial = w % trials;
     obs::PhaseProfiler prof;
@@ -178,7 +173,7 @@ MatrixResult run_matrix(const MatrixSpec& spec) {
   MatrixResult out;
   out.spec = spec;
   out.trials.resize(num_cells);
-  policy.run(num_cells, [&](std::size_t c) {
+  pool.parallel_for(num_cells, [&](std::size_t c) {
     const std::size_t topo_idx = c / (num_scens * num_algos * trials);
     const std::size_t scen_idx = (c / (num_algos * trials)) % num_scens;
     const std::size_t algo_idx = (c / trials) % num_algos;
@@ -294,8 +289,6 @@ json::Value results_to_json(const MatrixResult& result) {
   spec_obj.emplace_back("queries", static_cast<double>(spec.queries));
   spec_obj.emplace_back("message_loss", spec.options.message_loss);
   spec_obj.emplace_back("audit", spec.options.audit);
-  spec_obj.emplace_back(
-      "shards", static_cast<double>(spec.options.engine_tuning.shards));
   spec_obj.emplace_back("scale", static_cast<double>(spec.scale));
   spec_obj.emplace_back("stream_trace", spec.stream_trace);
   // Only recorded when the CLI override was given: absent = legacy file =
@@ -452,13 +445,6 @@ MatrixSpec spec_from_json(const json::Value& doc) {
   out.queries = static_cast<std::uint32_t>(spec.at("queries").as_double());
   out.options.message_loss = spec.at("message_loss").as_double();
   out.options.audit = spec.at("audit").as_bool();
-  // Older results files predate the shard axis; absent means the classic
-  // single-queue engine, which is also what shards = 1 runs — so committed
-  // goldens keep round-tripping bit-identically.
-  if (const json::Value* shards = spec.find("shards")) {
-    out.options.engine_tuning.shards =
-        static_cast<std::size_t>(shards->as_double());
-  }
   // Older results files predate the scale axis; absent means the preset's
   // own dimensions (scale = 0) with a materialized trace, exactly what
   // every pre-scale artifact ran with.

@@ -1,129 +1,25 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
-#include <limits>
-
-#include "exec/policy.hpp"
-#include "sim/bandwidth.hpp"
+#include <cmath>
 
 namespace asap::sim {
 
-namespace {
-
-constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
-
-/// Causal-key root: an arbitrary odd constant (driver-scheduled events
-/// are children of this virtual root).
-constexpr std::uint64_t kRootKey = 0x243F6A8885A308D3ULL;
-
-/// Child key from (parent key, 1-based child index): a splitmix64-style
-/// finalizer over their combination. Keys depend only on the event tree
-/// — the same workload yields the same keys whatever the shard count or
-/// thread interleaving, which is what lets window-parallel runs keep
-/// bit-identical digests.
-std::uint64_t causal_key(std::uint64_t parent, std::uint64_t child) {
-  std::uint64_t x = parent + 0x9E3779B97F4A7C15ULL * child;
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
-}
-
-}  // namespace
-
-thread_local Engine::ExecFrame* Engine::tls_frame_ = nullptr;
-
 Engine::Engine(const EngineTuning& tuning) : tuning_(tuning) {
-  const std::size_t n =
-      tuning_.shards == 0 ? exec::hardware_lanes() : tuning_.shards;
-  shards_.resize(n);
-  for (auto& sh : shards_) {
-    sh.queue.set_thresholds(tuning_.ladder_threshold, tuning_.heap_threshold);
-  }
-  mailboxes_.reset(n);
+  queue_.set_thresholds(tuning_.ladder_threshold, tuning_.heap_threshold);
 }
 
-Engine::ExecFrame* Engine::active_frame() const {
-  if (windowed_) {
-    ExecFrame* f = tls_frame_;
-    return (f != nullptr && f->engine == this) ? f : nullptr;
-  }
-  return frame_;
-}
-
-void Engine::schedule_impl(Seconds t, std::size_t dst, EventCallback cb) {
-  ExecFrame* f = active_frame();
+void Engine::schedule_impl(Seconds t, EventCallback cb) {
   ASAP_REQUIRE(std::isfinite(t), "event time must be finite");
-  ASAP_REQUIRE(t >= (f != nullptr ? f->now : now_),
-               "cannot schedule an event in the past");
-  std::uint64_t key;
-  if (tuning_.causal_keys) {
-    key = f != nullptr ? causal_key(f->key, ++f->children)
-                       : causal_key(kRootKey, ++root_children_);
-  } else {
-    key = next_seq_++;
-  }
-  Item item{t, key, std::move(cb)};
-  if (f == nullptr || dst == f->shard) {
-    // Driver-thread schedules and same-shard schedules go straight into
-    // the destination queue (it is owned by this thread in both modes).
-    shards_[dst].queue.push(std::move(item));
-    return;
-  }
-  if (windowed_) {
-    // Conservative-synchronization contract: inside a window a shard may
-    // only reach another shard at or past the window end, i.e. the
-    // workload's cross-partition latency must be >= the lookahead.
-    ASAP_REQUIRE(t >= window_end_,
-                 "cross-shard schedule lands inside the lookahead window");
-  }
-  mailboxes_.box(f->shard, dst).push_back(std::move(item));
-}
-
-std::size_t Engine::min_shard() {
-  if (shards_.size() == 1) {
-    return shards_[0].queue.empty() ? kNpos : 0;
-  }
-  std::size_t best = kNpos;
-  const Item* best_front = nullptr;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Item* f = shards_[s].queue.front();
-    if (f == nullptr) continue;
-    if (best_front == nullptr || f->before(*best_front)) {
-      best = s;
-      best_front = f;
-    }
-  }
-  return best;
-}
-
-std::size_t Engine::pending() const {
-  std::size_t n = mailboxes_.staged();
-  for (const auto& sh : shards_) n += sh.queue.size();
-  return n;
-}
-
-void Engine::deposit(Traffic category, Bytes bytes) {
-  ASAP_REQUIRE(ledger_ != nullptr,
-               "Engine::deposit requires a ledger (set_ledger)");
-  ExecFrame* f = active_frame();
-  if (windowed_ && f != nullptr) {
-    shards_[f->shard].deposits.push_back({f->now, f->key, category, bytes});
-    return;
-  }
-  ledger_->deposit(f != nullptr ? f->now : now_, category, bytes);
+  ASAP_REQUIRE(t >= now_, "cannot schedule an event in the past");
+  queue_.push(Item{t, next_seq_++, std::move(cb)});
 }
 
 bool Engine::step() {
-  const std::size_t s = min_shard();
-  if (s == kNpos) return false;
-  Shard& sh = shards_[s];
-  Item item = sh.queue.pop_front();
+  if (queue_.empty()) return false;
+  Item item = queue_.pop_front();
   // Warm the next event's out-of-line closure (if any) while this one
   // executes; purely a cache hint, so ordering and digests are untouched.
-  if (const Item* next = sh.queue.front()) next->cb.prefetch();
+  if (const Item* next = queue_.front()) next->cb.prefetch();
 
   ASAP_DCHECK(item.time >= now_);
   digest_.absorb(item.time);
@@ -132,30 +28,14 @@ bool Engine::step() {
   ASAP_OBS_HOOK(observer_, on_engine_event(item.time));
   now_ = item.time;
   ++executed_;
-  ExecFrame frame{this, s, item.time, item.seq, 0};
-  frame_ = &frame;
-  try {
-    item.cb();
-  } catch (...) {
-    frame_ = nullptr;
-    throw;
-  }
-  frame_ = nullptr;
-  if (shards_.size() > 1) {
-    // Canonical mode flushes the executing shard's staged cross-shard
-    // sends before the next tournament pick, so the serial execution
-    // order is exactly the single-queue engine's.
-    mailboxes_.flush_src(s, [this](std::size_t dst, Item&& it) {
-      shards_[dst].queue.push(std::move(it));
-    });
-  }
+  item.cb();
   return true;
 }
 
 void Engine::run_until(Seconds t_end) {
   for (;;) {
-    const std::size_t s = min_shard();
-    if (s == kNpos || shards_[s].queue.front()->time > t_end) break;
+    const Item* front = queue_.front();
+    if (front == nullptr || front->time > t_end) break;
     step();
   }
   if (now_ < t_end) now_ = t_end;
@@ -164,123 +44,6 @@ void Engine::run_until(Seconds t_end) {
 void Engine::run() {
   while (step()) {
   }
-}
-
-void Engine::run_window_parallel(exec::Policy& policy, Seconds t_end,
-                                 Seconds lookahead) {
-  ASAP_REQUIRE(tuning_.causal_keys,
-               "run_window_parallel requires EngineTuning::causal_keys");
-  ASAP_REQUIRE(std::isfinite(t_end), "horizon must be finite");
-  ASAP_REQUIRE(std::isfinite(lookahead) && lookahead > 0.0,
-               "lookahead must be positive and finite");
-  ASAP_REQUIRE(frame_ == nullptr && !windowed_,
-               "window-parallel execution cannot start inside an event");
-  const std::size_t n = shards_.size();
-  for (;;) {
-    const std::size_t s_min = min_shard();
-    if (s_min == kNpos) break;
-    const Seconds t_min = shards_[s_min].queue.front()->time;
-    if (t_min > t_end) break;
-    const Seconds w_end = t_min + lookahead;
-    // FP guard: at extreme timescales t_min + lookahead can round back to
-    // t_min, which would execute nothing and spin forever.
-    ASAP_REQUIRE(w_end > t_min,
-                 "lookahead too small to advance the window at this "
-                 "timescale");
-    window_end_ = w_end;
-    windowed_ = true;
-    try {
-      policy.run(n, [&](std::size_t lane) {
-        run_shard_window(lane, w_end, t_end);
-      });
-    } catch (...) {
-      windowed_ = false;
-      throw;
-    }
-    windowed_ = false;
-    merge_window();
-  }
-  if (now_ < t_end) now_ = t_end;
-}
-
-void Engine::run_shard_window(std::size_t s, Seconds w_end, Seconds t_end) {
-  Shard& sh = shards_[s];
-  for (;;) {
-    const Item* f = sh.queue.front();
-    if (f == nullptr || f->time >= w_end || f->time > t_end) break;
-    Item item = sh.queue.pop_front();
-    sh.log.push_back({item.time, item.seq});
-    ExecFrame frame{this, s, item.time, item.seq, 0};
-    tls_frame_ = &frame;
-    try {
-      item.cb();
-    } catch (...) {
-      tls_frame_ = nullptr;
-      throw;
-    }
-    tls_frame_ = nullptr;
-  }
-}
-
-void Engine::merge_window() {
-  const std::size_t n = shards_.size();
-  // K-way merge of the per-shard window logs into the canonical
-  // (time, key) stream: digest, auditor and observer all see exactly the
-  // order a serial causal-keys run would have produced. Shard counts are
-  // small (hardware lanes), so a linear tournament per record beats a
-  // heap here.
-  std::vector<std::size_t> idx(n, 0);
-  for (;;) {
-    std::size_t best = kNpos;
-    for (std::size_t s = 0; s < n; ++s) {
-      if (idx[s] >= shards_[s].log.size()) continue;
-      if (best == kNpos) {
-        best = s;
-        continue;
-      }
-      const WindowRecord& r = shards_[s].log[idx[s]];
-      const WindowRecord& b = shards_[best].log[idx[best]];
-      if (r.time < b.time || (r.time == b.time && r.key < b.key)) best = s;
-    }
-    if (best == kNpos) break;
-    const WindowRecord& r = shards_[best].log[idx[best]++];
-    digest_.absorb(r.time);
-    digest_.absorb(r.key);
-    ASAP_AUDIT_HOOK(auditor_, on_event(r.time));
-    ASAP_OBS_HOOK(observer_, on_engine_event(r.time));
-    now_ = r.time;
-    ++executed_;
-  }
-  for (auto& sh : shards_) sh.log.clear();
-
-  // Staged ledger deposits replay in the same canonical order (each
-  // deposit carries its event's (time, key); same-event deposits stay in
-  // emission order because they are adjacent in one shard's stream).
-  std::fill(idx.begin(), idx.end(), 0);
-  for (;;) {
-    std::size_t best = kNpos;
-    for (std::size_t s = 0; s < n; ++s) {
-      if (idx[s] >= shards_[s].deposits.size()) continue;
-      if (best == kNpos) {
-        best = s;
-        continue;
-      }
-      const StagedDeposit& d = shards_[s].deposits[idx[s]];
-      const StagedDeposit& b = shards_[best].deposits[idx[best]];
-      if (d.time < b.time || (d.time == b.time && d.key < b.key)) best = s;
-    }
-    if (best == kNpos) break;
-    const StagedDeposit& d = shards_[best].deposits[idx[best]++];
-    ASAP_DCHECK(ledger_ != nullptr);
-    ledger_->deposit(d.time, d.category, d.bytes);
-  }
-  for (auto& sh : shards_) sh.deposits.clear();
-
-  // Barrier flush: staged cross-shard sends join their destination
-  // queues before the next window opens.
-  mailboxes_.flush_all([this](std::size_t dst, Item&& it) {
-    shards_[dst].queue.push(std::move(it));
-  });
 }
 
 }  // namespace asap::sim

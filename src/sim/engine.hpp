@@ -7,61 +7,31 @@
 // BandwidthLedger. Ordering is the total order (time, seq) with a
 // monotonically increasing sequence number as tie-breaker, which makes
 // event ordering (and therefore every simulation) fully deterministic.
-//
-// The pending set is sharded by overlay partition (DESIGN.md §14): every
-// shard owns a heap/ladder hybrid (shard_queue.hpp) for the nodes mapped
-// to it (owner % shards), and cross-shard schedules stage through
-// per-(src, dst) ordered mailboxes (mailbox.hpp). Two execution modes
-// drain the shards:
-//
-//   * canonical — step()/run_until() pops the global minimum (time, seq)
-//     across all shard fronts on one thread. This is exactly the
-//     pre-shard serial engine: same execution order, same sequence
-//     numbers, same digests, for any shard count. All protocol runs use
-//     this mode, so every committed golden digest is preserved.
-//   * window-parallel — run_window_parallel() executes conservative time
-//     windows [t_min, t_min + lookahead) with one lane per shard under an
-//     exec::Policy, then merges shard outputs (executed events, staged
-//     ledger deposits, auditor/observer hooks) in canonical (time, key)
-//     order at the barrier. Requires EngineTuning::causal_keys, which
-//     replaces the schedule-counter tie-breaker with keys derived from
-//     the causal tree so keys cannot depend on thread interleaving; the
-//     merged digest is bit-identical for shards=1 vs N and equal to a
-//     canonical causal-keys run of the same workload.
+// The pending set is one heap/ladder hybrid (event_queue.hpp, §12).
 //
 // Callbacks are small-buffer EventCallbacks (event_callback.hpp) drawing
 // oversized closures from the engine's SlabPool instead of
 // std::function's per-event heap allocation.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
-#include <functional>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
 #include "sim/audit.hpp"
 #include "sim/event_callback.hpp"
-#include "sim/mailbox.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/observe.hpp"
-#include "sim/shard_queue.hpp"
 #include "sim/slab_pool.hpp"
-
-namespace asap::exec {
-class Policy;  // exec/policy.hpp
-}  // namespace asap::exec
 
 namespace asap::sim {
 
-class BandwidthLedger;  // bandwidth.hpp
-
 /// Knobs for the engine's pending-event structures. Defaults are the
 /// production configuration; tests pin specific paths (forced heap,
-/// forced ladder, forced pool-backed callbacks, shard counts) to prove
-/// digest identity across all of them.
+/// forced ladder, forced pool-backed callbacks) to prove digest identity
+/// across all of them.
 struct EngineTuning {
   /// Heap → ladder once pending events exceed this. ~0 keeps the heap
   /// forever; 0 moves to the ladder on the first event.
@@ -72,102 +42,57 @@ struct EngineTuning {
   /// Test hook: pad every closure past EventCallback::kInlineSize so the
   /// SlabPool fallback path runs for all events.
   bool force_heap_callbacks = false;
-  /// Event-loop shards (overlay partitions): owner node % shards picks
-  /// the queue. 1 is the classic single queue; 0 auto-detects
-  /// (exec::hardware_lanes(), clamped >= 1). Canonical execution pops
-  /// the global (time, seq) minimum whatever the count, so run digests
-  /// are bit-identical across shard counts.
-  std::size_t shards = 1;
-  /// Replace the schedule-counter tie-breaker with causally-derived keys
-  /// (child key = mix of parent key and per-parent child index). Keys
-  /// then depend only on the event tree, never on thread interleaving —
-  /// required by run_window_parallel(). Counter runs and causal runs
-  /// form two distinct digest families; each is internally bit-identical
-  /// across shard counts and queue tunings.
-  bool causal_keys = false;
 };
 
 class Engine {
  public:
-  using Callback = std::function<void()>;
-
   Engine() : Engine(EngineTuning{}) {}
   explicit Engine(const EngineTuning& tuning);
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Current virtual time in seconds. Inside a callback this is the
-  /// executing event's time in both modes (window-parallel shards run
-  /// locally ahead of the merged global clock).
-  Seconds now() const {
-    const ExecFrame* f = active_frame();
-    return f ? f->now : now_;
-  }
+  /// Current virtual time in seconds (inside a callback: the executing
+  /// event's time).
+  Seconds now() const { return now_; }
 
   /// Schedule `f` at absolute time `t` (must be finite and not in the
   /// past). Accepts any void() callable; captures up to
-  /// EventCallback::kInlineSize bytes are stored allocation-free. The
-  /// owner-less overloads target the scheduling event's own shard
-  /// (driver-thread calls target shard 0); pass an owner node to route
-  /// the event to that node's partition.
+  /// EventCallback::kInlineSize bytes are stored allocation-free.
   template <typename F>
   void schedule_at(Seconds t, F&& f) {
-    schedule_to(t, default_shard(), std::forward<F>(f));
+    if (tuning_.force_heap_callbacks) {
+      schedule_impl(t, EventCallback(pool_, Padded<std::decay_t<F>>(
+                                                std::forward<F>(f))));
+    } else {
+      schedule_impl(t, EventCallback(pool_, std::forward<F>(f)));
+    }
   }
+
+  /// Same as schedule_at(t, f); the owner node is ignored. It exists only
+  /// for the benchmark's engine probe (perfbench/probes.cpp), which still
+  /// passes one; new code uses the owner-less form.
   template <typename F>
-  void schedule_at(Seconds t, NodeId owner, F&& f) {
-    schedule_to(t, shard_of(owner), std::forward<F>(f));
+  void schedule_at(Seconds t, NodeId /*owner*/, F&& f) {
+    schedule_at(t, std::forward<F>(f));
   }
 
   /// Schedule `f` `dt` seconds from now (dt >= 0).
   template <typename F>
   void schedule_in(Seconds dt, F&& f) {
-    schedule_to(now() + dt, default_shard(), std::forward<F>(f));
-  }
-  template <typename F>
-  void schedule_in(Seconds dt, NodeId owner, F&& f) {
-    schedule_to(now() + dt, shard_of(owner), std::forward<F>(f));
+    schedule_at(now_ + dt, std::forward<F>(f));
   }
 
-  /// Pop and execute the earliest event (canonical mode). Returns false
-  /// if none remain.
+  /// Pop and execute the earliest event. Returns false if none remain.
   bool step();
 
-  /// Run until the queues drain or virtual time would exceed `t_end`
-  /// (events after t_end stay queued). Canonical mode.
+  /// Run until the queue drains or virtual time would exceed `t_end`
+  /// (events after t_end stay queued).
   void run_until(Seconds t_end);
 
-  /// Run until the queues drain completely. Canonical mode.
+  /// Run until the queue drains completely.
   void run();
 
-  /// Conservative time-window parallel execution (DESIGN.md §14): repeat
-  /// { window = [min next-event time, +lookahead); each shard executes
-  /// its own events inside the window on one policy lane; barrier;
-  /// merge outputs in (time, key) order; flush mailboxes } until no
-  /// event at or before `t_end` remains, then park the clock at t_end.
-  ///
-  /// Requires EngineTuning::causal_keys. Within a window, a shard may
-  /// schedule onto itself at any t >= now(); cross-shard schedules must
-  /// land at or past the window end (the lookahead contract — in the
-  /// simulation that is "cross-partition latency >= lookahead") and are
-  /// staged through the mailbox grid. Ledger deposits made during
-  /// window execution must go through deposit(); they are staged
-  /// per-shard and replayed into the ledger in merged canonical order.
-  /// Closures scheduled inside a window must fit EventCallback's inline
-  /// buffer (the SlabPool is not shared across lanes).
-  void run_window_parallel(exec::Policy& policy, Seconds t_end,
-                           Seconds lookahead);
-
-  /// Ledger sink for deposit() (not owned; nullptr detaches). Canonical
-  /// deposits forward immediately; window-parallel deposits are staged
-  /// and replayed at the barrier in canonical order.
-  void set_ledger(BandwidthLedger* ledger) { ledger_ = ledger; }
-
-  /// Account `bytes` of `category` traffic at the executing event's time
-  /// (current time when called outside a callback). Requires a ledger.
-  void deposit(Traffic category, Bytes bytes);
-
-  std::size_t pending() const;
+  std::size_t pending() const { return queue_.size(); }
   std::uint64_t executed() const { return executed_; }
 
   /// FNV-1a over every executed event's (time, seq); always maintained, so
@@ -182,25 +107,13 @@ class Engine {
   /// (sim/observe.hpp); the digest is identical either way.
   void set_observer(Observer* observer) { observer_ = observer; }
 
-  /// Resolved shard count (tuning 0 resolves to hardware lanes).
-  std::size_t shards() const { return shards_.size(); }
-  /// Shard a node's events execute on (owner % shards).
-  std::size_t shard_of(NodeId owner) const {
-    return shards_.size() == 1 ? 0 : owner % shards_.size();
-  }
-
-  /// True while shard 0's ladder queue is the active structure
-  /// (diagnostics; with one shard this is the whole engine).
-  bool using_ladder() const { return shards_[0].queue.using_ladder(); }
-  /// The engine's closure pool (diagnostics/tests).
-  const SlabPool& pool() const { return pool_; }
+  /// True while the ladder queue is the active structure (diagnostics).
+  bool using_ladder() const { return queue_.using_ladder(); }
 
  private:
   struct Item {
     Seconds time;
-    /// Tie-breaker: schedule counter, or the causal key when
-    /// EngineTuning::causal_keys is set. Unique per run either way.
-    std::uint64_t seq;
+    std::uint64_t seq;  ///< schedule counter: the (time, seq) tie-breaker
     EventCallback cb;
 
     bool before(const Item& other) const {
@@ -214,37 +127,6 @@ class Engine {
   static_assert(sizeof(Item) == 64,
                 "queue Item should be exactly one cache line");
 
-  /// Executing-event context: one per live callback, on the executing
-  /// thread's stack. Routes now()/schedule_*/deposit() while a callback
-  /// runs — in window-parallel mode each lane carries its own frame via
-  /// a thread-local, so shards can execute concurrently without touching
-  /// the shared clock.
-  struct ExecFrame {
-    const Engine* engine;
-    std::size_t shard;
-    Seconds now;
-    std::uint64_t key;       ///< the executing event's (causal) key
-    std::uint64_t children;  ///< causal child counter
-  };
-
-  struct WindowRecord {
-    Seconds time;
-    std::uint64_t key;
-  };
-  struct StagedDeposit {
-    Seconds time;
-    std::uint64_t key;  ///< depositing event's key (merge tie-breaker)
-    Traffic category;
-    Bytes bytes;
-  };
-  struct Shard {
-    ShardQueue<Item> queue;
-    /// Window-parallel per-shard outputs, merged then cleared at the
-    /// barrier.
-    std::vector<WindowRecord> log;
-    std::vector<StagedDeposit> deposits;
-  };
-
   /// force_heap_callbacks wrapper: same behavior, guaranteed pool storage.
   template <typename Fn>
   struct Padded {
@@ -254,61 +136,17 @@ class Engine {
     unsigned char pad[EventCallback::kInlineSize + 1] = {};
   };
 
-  template <typename F>
-  void schedule_to(Seconds t, std::size_t dst, F&& f) {
-    if (tuning_.force_heap_callbacks) {
-      ASAP_REQUIRE(!windowed_,
-                   "force_heap_callbacks cannot run window-parallel: the "
-                   "closure pool is not shared across lanes");
-      schedule_impl(t, dst,
-                    EventCallback(pool_, Padded<std::decay_t<F>>(
-                                             std::forward<F>(f))));
-    } else {
-      if (windowed_) {
-        // The SlabPool is single-threaded; window lanes may only
-        // schedule closures the inline buffer can hold.
-        ASAP_REQUIRE(sizeof(std::decay_t<F>) <= EventCallback::kInlineSize,
-                     "window-parallel closures must fit the EventCallback "
-                     "inline buffer");
-      }
-      schedule_impl(t, dst, EventCallback(pool_, std::forward<F>(f)));
-    }
-  }
-
-  void schedule_impl(Seconds t, std::size_t dst, EventCallback cb);
-  /// The executing event's frame on this thread, if any (else nullptr).
-  ExecFrame* active_frame() const;
-  std::size_t default_shard() const {
-    const ExecFrame* f = active_frame();
-    return f ? f->shard : 0;
-  }
-  /// Index of the shard holding the global minimum front; npos if empty.
-  std::size_t min_shard();
-  void run_shard_window(std::size_t s, Seconds w_end, Seconds t_end);
-  void merge_window();
+  void schedule_impl(Seconds t, EventCallback cb);
 
   SlabPool pool_;  // first member: must outlive every queued EventCallback
   EngineTuning tuning_;
-  std::vector<Shard> shards_;
-  MailboxGrid<Item> mailboxes_;
-  /// Canonical-mode executing frame (window lanes use a thread-local).
-  ExecFrame* frame_ = nullptr;
-  /// Window-lane executing frame for the current thread; checked against
-  /// `engine` so nested engines on one thread cannot cross wires.
-  static thread_local ExecFrame* tls_frame_;
-  /// True only while policy lanes run inside run_window_parallel (set
-  /// and cleared around the barrier, so never read concurrently with a
-  /// write).
-  bool windowed_ = false;
-  Seconds window_end_ = 0.0;
+  EventQueue<Item> queue_;
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t root_children_ = 0;  ///< causal child counter, driver events
   std::uint64_t executed_ = 0;
   Fnv64 digest_;
   SimAuditor* auditor_ = nullptr;
   Observer* observer_ = nullptr;
-  BandwidthLedger* ledger_ = nullptr;
 };
 
 }  // namespace asap::sim

@@ -31,6 +31,14 @@ TEST(ThreadPool, SingleWorkerStillCompletes) {
   EXPECT_EQ(counter.load(), 50);
 }
 
+TEST(ThreadPool, ZeroThreadsMeansAtLeastOneWorker) {
+  // hardware_concurrency() may legitimately return 0; the auto-sized pool
+  // (MatrixRunner's jobs = 0) must still get a worker.
+  ThreadPool pool(0);
+  EXPECT_GE(pool.size(), 1u);
+  EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
+}
+
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(100);

@@ -16,7 +16,7 @@ namespace asap::harness {
 namespace {
 
 /// Smaller than determinism_test's world: this suite replays 6 algorithms
-/// x 3 fault presets x 4 engine configurations.
+/// x 4 engine configurations, plus 2 algorithms x 3 fault presets x 4.
 ExperimentConfig sweep_config() {
   auto cfg = ExperimentConfig::make(Preset::kSmall, TopologyKind::kCrawled, 23);
   cfg.content.initial_nodes = 300;
@@ -84,10 +84,11 @@ TEST_F(EngineDigestTest, SweepHoldsUnderFaultPresets) {
   // Fault injection reshapes the event population (crash timers, burst
   // windows, jittered latencies) — exactly the traffic that stresses
   // rung rebuilds — so the identity must hold under the PR 5 presets too.
-  // A representative algorithm pair keeps the suite's runtime bounded:
-  // one baseline, one ASAP variant.
+  // "byzantine" adds the adversarial roles (polluters, stale advertisers,
+  // confirm droppers) and a query storm. A representative algorithm pair
+  // keeps the suite's runtime bounded: one baseline, one ASAP variant.
   for (const auto kind : {AlgoKind::kFlooding, AlgoKind::kAsapRw}) {
-    for (const char* preset : {"churn", "chaos"}) {
+    for (const char* preset : {"churn", "chaos", "byzantine"}) {
       RunOptions base_opts;
       base_opts.faults = faults::fault_preset(preset).config;
       const auto base = run_experiment(*world_, kind, base_opts);

@@ -67,6 +67,23 @@ TEST(MatrixRunner, JobsDoNotChangeAnyDigest) {
   EXPECT_NE(sequential.matrix_digest, 0u);
 }
 
+TEST(MatrixRunner, AutoJobsMatchesOneJob) {
+  // jobs = 0 sizes the pool to the hardware (ThreadPool clamps it to at
+  // least one worker); the results must not depend on that width.
+  auto spec = tiny_spec();
+  spec.jobs = 1;
+  const auto one = run_matrix(spec);
+  spec.jobs = 0;
+  const auto autodetected = run_matrix(spec);
+
+  ASSERT_EQ(one.trials.size(), autodetected.trials.size());
+  for (std::size_t i = 0; i < one.trials.size(); ++i) {
+    EXPECT_EQ(one.trials[i].result.digest,
+              autodetected.trials[i].result.digest);
+  }
+  EXPECT_EQ(one.matrix_digest, autodetected.matrix_digest);
+}
+
 TEST(MatrixRunner, TrialZeroMatchesAPlainRun) {
   auto spec = tiny_spec();
   spec.trials = 1;
@@ -131,6 +148,8 @@ TEST(MatrixRunner, ResultsJsonRoundTripsTheSpec) {
 
   const auto doc = json::parse(json::dump(results_to_json(result)));
   EXPECT_EQ(doc.at("schema").as_string(), "asap-matrix-results/1");
+  // Retired key: older files still carry it, new files do not.
+  EXPECT_EQ(doc.at("spec").find("shards"), nullptr);
   EXPECT_EQ(doc.at("matrix_digest").u64_hex(), result.matrix_digest);
 
   const auto parsed = spec_from_json(doc);

@@ -8,8 +8,11 @@
 //   asap_sim --preset paper --algo all --jobs 4 --csv results.csv
 //   asap_sim --algo asap-rw --m0 1500 --refresh-period 60 --hops 2
 //   asap_sim --matrix --algo all --trials 8 --jobs 8 --json results.json
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -36,7 +39,6 @@ struct CliArgs {
   std::uint64_t seed = 42;
   std::uint32_t queries = 0;  // 0 = preset default
   std::size_t jobs = 0;
-  std::size_t shards = 1;  // event-loop shards per run (0 = auto)
   std::uint32_t scale = 0;   // node-count override (0 = preset default)
   bool stream_trace = false;  // force on-demand trace synthesis
   std::string csv_path;
@@ -119,10 +121,7 @@ void print_usage() {
                               must be named explicitly.
   --seed N                    master seed (default 42)
   --queries N                 override query count
-  --jobs N                    parallel cells (default: hardware)
-  --shards N                  event-loop shards per run (default 1;
-                              0 = hardware). Run digests are bit-identical
-                              across shard counts (DESIGN.md section 14)
+  --jobs N                    parallel cells (default: hardware, max 1024)
   --scale N                   re-dimension the world to N peers (the scale
                               axis, DESIGN.md section 15); >= 100k nodes
                               auto-enable streaming trace synthesis
@@ -176,6 +175,49 @@ ASAP protocol overrides:
 )";
 }
 
+/// Upper bound for --jobs: far above any real core count, low enough that
+/// a typo fails here instead of inside the thread pool.
+constexpr std::size_t kMaxJobs = 1024;
+
+/// Strict decimal parse of an integer flag value: digits only (no sign,
+/// whitespace or suffix) and within [0, max] of the destination type, so
+/// "-1" cannot wrap and "12abc" is not read as 12. Errors name the flag.
+template <typename T>
+T parse_uint(const std::string& flag, const std::string& text,
+             T max = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec == std::errc::invalid_argument || ptr != end) {
+    throw ConfigError(flag + " takes a non-negative integer, got '" + text +
+                      "'");
+  }
+  if (ec == std::errc::result_out_of_range || value > max) {
+    throw ConfigError(flag + " value '" + text + "' is out of range (max " +
+                      std::to_string(max) + ")");
+  }
+  return value;
+}
+
+/// Strict parse of a finite real flag value (no trailing characters).
+double parse_real(const std::string& flag, const std::string& text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end ||
+      !std::isfinite(value)) {
+    throw ConfigError(flag + " takes a finite number, got '" + text + "'");
+  }
+  return value;
+}
+
+bool parse_on_off(const std::string& flag, const std::string& text) {
+  if (text != "on" && text != "off") {
+    throw ConfigError(flag + " takes on|off, got '" + text + "'");
+  }
+  return text == "on";
+}
+
 CliArgs parse(int argc, char** argv) {
   CliArgs args;
   for (int i = 1; i < argc; ++i) {
@@ -221,15 +263,13 @@ CliArgs parse(int argc, char** argv) {
         }
       }
     } else if (flag == "--seed") {
-      args.seed = std::stoull(next());
+      args.seed = parse_uint<std::uint64_t>(flag, next());
     } else if (flag == "--queries") {
-      args.queries = static_cast<std::uint32_t>(std::stoul(next()));
+      args.queries = parse_uint<std::uint32_t>(flag, next());
     } else if (flag == "--jobs") {
-      args.jobs = std::stoul(next());
-    } else if (flag == "--shards") {
-      args.shards = std::stoul(next());
+      args.jobs = parse_uint<std::size_t>(flag, next(), kMaxJobs);
     } else if (flag == "--scale") {
-      args.scale = static_cast<std::uint32_t>(std::stoul(next()));
+      args.scale = parse_uint<std::uint32_t>(flag, next());
     } else if (flag == "--stream-trace") {
       args.stream_trace = true;
     } else if (flag == "--csv") {
@@ -242,43 +282,39 @@ CliArgs parse(int argc, char** argv) {
         args.fault_scenarios.push_back(faults::scenario_from_spec(s));
       }
     } else if (flag == "--trust") {
-      const std::string v = next();
-      if (v != "on" && v != "off") {
-        throw ConfigError("--trust takes on|off");
-      }
-      args.trust = (v == "on");
+      args.trust = parse_on_off(flag, next());
     } else if (flag == "--matrix") {
       args.matrix = true;
     } else if (flag == "--trials") {
-      args.trials = static_cast<std::uint32_t>(std::stoul(next()));
+      args.trials = parse_uint<std::uint32_t>(flag, next());
     } else if (flag == "--json") {
       args.json_path = next();
     } else if (flag == "--trace-out") {
       args.trace_out = next();
     } else if (flag == "--trace-sample") {
-      args.trace_sample = std::stoull(next());
+      args.trace_sample = parse_uint<std::uint64_t>(flag, next());
       if (args.trace_sample == 0) {
         throw ConfigError("--trace-sample must be >= 1");
       }
     } else if (flag == "--counters-out") {
       args.counters_out = next();
     } else if (flag == "--counters-period") {
-      args.counters_period = std::stod(next());
+      args.counters_period = parse_real(flag, next());
       if (args.counters_period <= 0.0) {
         throw ConfigError("--counters-period must be positive");
       }
     } else if (flag == "--m0") {
-      args.m0 = std::stoull(next());
+      args.m0 = parse_uint<std::uint64_t>(flag, next());
     } else if (flag == "--refresh-period") {
-      args.refresh_period = std::stod(next());
+      args.refresh_period = parse_real(flag, next());
     } else if (flag == "--cache-capacity") {
-      args.cache_capacity = static_cast<std::uint32_t>(std::stoul(next()));
+      args.cache_capacity = parse_uint<std::uint32_t>(flag, next());
     } else if (flag == "--hops") {
-      args.hops = static_cast<std::uint32_t>(std::stoul(next()));
+      args.hops = parse_uint<std::uint32_t>(flag, next());
     } else if (flag == "--results-needed") {
-      args.results_needed = static_cast<std::uint32_t>(std::stoul(next()));
+      args.results_needed = parse_uint<std::uint32_t>(flag, next());
     } else if (flag == "--refresh-pull") {
-      args.refresh_pull = next() == "on";
+      args.refresh_pull = parse_on_off(flag, next());
     } else {
       throw ConfigError("unknown flag: " + flag + " (see --help)");
     }
@@ -289,7 +325,6 @@ CliArgs parse(int argc, char** argv) {
 harness::RunOptions options_for(const CliArgs& args, harness::AlgoKind kind) {
   harness::RunOptions opts;
   opts.audit = opts.audit || args.audit;
-  opts.engine_tuning.shards = args.shards;
   if (!harness::is_asap(kind)) return opts;
   auto p = harness::default_asap_params(kind, args.preset);
   if (args.m0) p.budget_unit_m0 = *args.m0;
@@ -377,7 +412,6 @@ int run_matrix_mode(const CliArgs& args) {
   spec.scale = args.scale;
   spec.stream_trace = args.stream_trace;
   spec.options.audit = args.audit;
-  spec.options.engine_tuning.shards = args.shards;
   if (!args.fault_scenarios.empty()) {
     spec.fault_scenarios = args.fault_scenarios;
   }

@@ -5,20 +5,13 @@ Usage: check_bench_engine.py [--enforce-speedup] FILE
 
 Default mode validates structure only: CI runners have noisy clocks, so
 the gate for a freshly generated report is "the bench ran and produced a
-well-formed report with every cell present exactly once and every shard
-count on a bit-identical digest".
+well-formed report with every cell present exactly once".
 
---enforce-speedup additionally requires
-  * at least one engine_hold cell at depth >= 65536 with >=
-    MIN_DEEP_SPEEDUP over the seed engine, and
-  * when the report was measured on a machine with >=
-    SHARD_SPEEDUP_LANES hardware lanes, the 8-shard engine_shard_hold
-    cell to show >= MIN_SHARD_SPEEDUP wall-clock speedup over 1 shard
-    (a parallel speedup cannot exist on fewer cores, so reports from
-    smaller machines pass on digest identity alone and say so).
-That mode is applied to the *committed* BENCH_engine.json (measured
-numbers recorded at optimization time, deterministic to re-check),
-never to a fresh CI run.
+--enforce-speedup additionally requires at least one engine_hold cell at
+depth >= 65536 with >= MIN_DEEP_SPEEDUP over the seed engine. That mode
+is applied to the *committed* BENCH_engine.json (measured numbers
+recorded at optimization time, deterministic to re-check), never to a
+fresh CI run.
 """
 import json
 import sys
@@ -27,17 +20,11 @@ NUM = (int, float)
 DEPTHS = (1024, 16384, 65536, 262144, 1048576)
 CLOSURES = ("inline", "pooled")
 EXPECTED_CELLS = {(d, c) for d in DEPTHS for c in CLOSURES}
-SHARD_COUNTS = (1, 2, 4, 8)
 
 # ISSUE 6 acceptance: >= 3x ns/event improvement over the seed engine
 # (4-ary heap + std::function) at a queue depth of at least 64k.
 MIN_DEEP_SPEEDUP = 3.0
 DEEP_DEPTH = 65536
-
-# ISSUE 8 acceptance: >= 2x wall-clock at 8 shards on a 64k-node world,
-# enforceable only when the measuring machine actually has 8 lanes.
-MIN_SHARD_SPEEDUP = 2.0
-SHARD_SPEEDUP_LANES = 8
 
 
 def fail(msg):
@@ -63,25 +50,6 @@ def check_hold_row(i, row, seen):
                  f"got {value!r}")
 
 
-def check_shard_row(i, row, seen):
-    shards = row.get("shards")
-    if shards not in SHARD_COUNTS:
-        fail(f"results[{i}]: unexpected shard count {shards!r}")
-    if shards in seen:
-        fail(f"results[{i}]: duplicate shard cell {shards}")
-    seen.add(shards)
-    for field in ("nodes", "events", "wall_seconds", "speedup"):
-        value = row.get(field)
-        if not isinstance(value, NUM) or isinstance(value, bool):
-            fail(f"results[{i}]: field {field!r} missing or not a number")
-        if value <= 0:
-            fail(f"results[{i}]: field {field!r} must be positive, "
-                 f"got {value!r}")
-    if row.get("digest_ok") is not True:
-        fail(f"results[{i}]: shards={shards} digest mismatch — the sharded "
-             f"event loop diverged from the single-shard run")
-
-
 def check(path, enforce_speedup):
     with open(path, encoding="utf-8") as f:
         try:
@@ -95,31 +63,23 @@ def check(path, enforce_speedup):
     for field in ("release_build", "audit_build"):
         if not isinstance(doc.get(field), bool):
             fail(f"field {field!r} missing or not a bool")
-    lanes = doc.get("hardware_lanes")
-    if not isinstance(lanes, NUM) or isinstance(lanes, bool) or lanes < 1:
-        fail(f"field 'hardware_lanes' missing or not a positive number")
     if doc.get("unit") != "ns_per_event":
         fail(f"unexpected unit {doc.get('unit')!r}")
     results = doc.get("results")
     if not isinstance(results, list) or not results:
         fail("'results' missing or empty")
-    seen_hold, seen_shards = set(), set()
+    seen_hold = set()
     for i, row in enumerate(results):
         if not isinstance(row, dict):
             fail(f"results[{i}] is not an object")
         bench = row.get("bench")
         if bench == "engine_hold":
             check_hold_row(i, row, seen_hold)
-        elif bench == "engine_shard_hold":
-            check_shard_row(i, row, seen_shards)
         else:
             fail(f"results[{i}]: unknown bench {bench!r}")
     missing = EXPECTED_CELLS - seen_hold
     if missing:
         fail(f"missing cells: {sorted(missing)}")
-    missing_shards = set(SHARD_COUNTS) - seen_shards
-    if missing_shards:
-        fail(f"missing shard cells: {sorted(missing_shards)}")
 
     hold = [r for r in results if r["bench"] == "engine_hold"]
     deep = [r["speedup"] for r in hold if r["depth"] >= DEEP_DEPTH]
@@ -128,23 +88,9 @@ def check(path, enforce_speedup):
         fail(f"best speedup at depth >= {DEEP_DEPTH} is {best_deep:.2f}x, "
              f"below the required {MIN_DEEP_SPEEDUP:.1f}x")
 
-    shard8 = next(r["speedup"] for r in results
-                  if r["bench"] == "engine_shard_hold" and r["shards"] == 8)
-    if enforce_speedup and lanes >= SHARD_SPEEDUP_LANES:
-        if shard8 < MIN_SHARD_SPEEDUP:
-            fail(f"8-shard wall-clock speedup is {shard8:.2f}x, below the "
-                 f"required {MIN_SHARD_SPEEDUP:.1f}x "
-                 f"(measured on {int(lanes)} lanes)")
-        shard_note = f"8-shard speedup {shard8:.2f}x OK"
-    else:
-        shard_note = (f"8-shard speedup {shard8:.2f}x on {int(lanes)} "
-                      f"lane(s), digests identical"
-                      + ("" if not enforce_speedup else
-                         f"; parallel bar waived below "
-                         f"{SHARD_SPEEDUP_LANES} lanes"))
     verdict = "threshold OK" if enforce_speedup else "structure OK"
     print(f"{path}: {verdict} ({len(results)} cells, best deep speedup "
-          f"{best_deep:.2f}x at depth >= {DEEP_DEPTH}; {shard_note})")
+          f"{best_deep:.2f}x at depth >= {DEEP_DEPTH})")
 
 
 def main(argv):
