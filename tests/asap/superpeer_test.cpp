@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "../support/test_world.hpp"
 
 namespace asap::ads {
@@ -172,6 +174,114 @@ TEST(SuperpeerAsap, NamesFollowScheme) {
   EXPECT_EQ(
       SuperpeerAsap(w.ctx, test_params(search::Scheme::kRandomWalk)).name(),
       "sp-asap(rw)");
+}
+
+/// One superpeer run on TestWorld: warm-up, one content change, one
+/// proxy leave + rejoin, 50 leaf queries, then drain to t = 400.
+struct SuperpeerRun {
+  std::uint64_t engine_digest = 0;
+  std::uint64_t ledger_digest = 0;
+  std::uint64_t total = 0;
+  std::uint64_t successes = 0;
+  double avg_cost_bytes = 0.0;
+};
+
+SuperpeerRun run_scenario(search::Scheme scheme) {
+  TestWorld w;
+  SuperpeerAsap algo(w.ctx, test_params(scheme));
+  warm(w, algo);
+  std::vector<NodeId> leaves;
+  std::vector<NodeId> sharers;
+  for (NodeId n = 0; n < TestWorld::kNodes; ++n) {
+    if (!algo.is_superpeer(n)) leaves.push_back(n);
+    if (!w.live.docs(n).empty()) sharers.push_back(n);
+  }
+  auto feed = [&](const trace::TraceEvent& ev) {
+    w.engine.run_until(ev.time);
+    w.live.apply(ev, w.model);
+    algo.on_trace_event(ev);
+  };
+
+  Rng mint_rng(5);
+  auto& model = const_cast<trace::ContentModel&>(w.model);
+  trace::TraceEvent change;
+  change.type = trace::TraceEventType::kAddDoc;
+  change.time = 125.0;
+  change.node = sharers.front();
+  change.doc = model.mint_document(w.model.interests(change.node).front(),
+                                   mint_rng);
+  feed(change);
+
+  // The leaver is a sharing superpeer that proxies leaves: while it is
+  // away, its leaves re-pick proxies and confirms to it time out.
+  NodeId leaver = algo.proxy_of(leaves.front());
+  for (const NodeId n : leaves) {
+    const NodeId sp = algo.proxy_of(n);
+    if (!w.live.docs(sp).empty()) {
+      leaver = sp;
+      break;
+    }
+  }
+  for (std::size_t i = 0; i < 50; ++i) {
+    const Seconds t = 130.0 + 2.0 * static_cast<double>(i);
+    if (t == 150.0 || t == 190.0) {
+      trace::TraceEvent churn;
+      churn.type = t == 150.0 ? trace::TraceEventType::kLeave
+                              : trace::TraceEventType::kRejoin;
+      churn.time = t;
+      churn.node = leaver;
+      feed(churn);
+    }
+    const NodeId requester = leaves[(7 * i) % leaves.size()];
+    NodeId holder = sharers[(3 * i + 1) % sharers.size()];
+    if (i % 5 == 1 && !w.live.docs(leaver).empty()) holder = leaver;
+    if (holder == requester) holder = sharers[(3 * i + 2) % sharers.size()];
+    auto ev = query_event(w, requester, holder, t);
+    if (i % 5 == 0) {
+      // Nobody holds this keyword: a proxy miss that widens to the mesh.
+      ev.num_terms = 1;
+      ev.terms[0] = 0xFFFFFFF0;
+    }
+    feed(ev);
+  }
+  w.engine.run_until(400.0);
+  return {w.engine.digest(), w.ledger.digest(), algo.stats().total(),
+          algo.stats().successes(), algo.stats().avg_cost_bytes()};
+}
+
+// Behavioural pin of the hierarchical mode: engine and ledger digests plus
+// the search outcome of a fixed scenario, per mesh dissemination scheme.
+// Any change to what the superpeer protocol sends, caches or confirms
+// moves these constants.
+TEST(SuperpeerDigest, ScenarioIsBitIdenticalPerScheme) {
+  struct Pin {
+    const char* name;
+    search::Scheme scheme;
+    SuperpeerRun want;
+  };
+  const Pin pins[] = {
+      {"sp-asap(fld)",
+       search::Scheme::kFlooding,
+       {0xda68606d88870412ULL, 0x4226cc2170ec8a40ULL, 50, 40,
+        508.00000000000006}},
+      {"sp-asap(rw)",
+       search::Scheme::kRandomWalk,
+       {0x5699736d15179db9ULL, 0xe149c330ab39c6a5ULL, 50, 40,
+        505.60000000000002}},
+      {"sp-asap(gsa)",
+       search::Scheme::kGsa,
+       {0xda68606d88870412ULL, 0x16563558f16af3aaULL, 50, 40,
+        508.00000000000006}},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    const SuperpeerRun got = run_scenario(pin.scheme);
+    EXPECT_EQ(got.engine_digest, pin.want.engine_digest);
+    EXPECT_EQ(got.ledger_digest, pin.want.ledger_digest);
+    EXPECT_EQ(got.total, pin.want.total);
+    EXPECT_EQ(got.successes, pin.want.successes);
+    EXPECT_EQ(got.avg_cost_bytes, pin.want.avg_cost_bytes);
+  }
 }
 
 TEST(SuperpeerAsap, RejectsBadParams) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "faults/fault_config.hpp"
@@ -100,6 +101,38 @@ TEST_F(EngineDigestTest, SweepHoldsUnderFaultPresets) {
         EXPECT_EQ(res.digest, base.digest)
             << algo_name(kind) << " / " << preset << " / " << name;
       }
+    }
+  }
+}
+
+TEST_F(EngineDigestTest, AsapExtensionBranchesMatchPinnedDigests) {
+  // Absolute pins for two asap(rw) extensions no golden covers: refresh
+  // pull (a cacher missing the ad fetches it from the source) and the
+  // interest-biased delivery walk. Each must also hold across the queue
+  // and callback sweep.
+  struct Pin {
+    const char* name;
+    void (*apply)(ads::AsapParams&);
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"refresh_pull", [](ads::AsapParams& p) { p.refresh_pull = true; },
+       0x177e0c384383b517ULL},
+      {"interest_bias=2", [](ads::AsapParams& p) { p.interest_bias = 2.0; },
+       0xe14c731341eb9584ULL},
+  };
+  for (const Pin& pin : pins) {
+    auto params = default_asap_params(AlgoKind::kAsapRw, world_->cfg.preset);
+    pin.apply(params);
+    RunOptions opts;
+    opts.asap = params;
+    const auto base = run_experiment(*world_, AlgoKind::kAsapRw, opts);
+    EXPECT_EQ(base.digest, pin.digest) << pin.name;
+    for (const auto& [name, tuning] : tuning_sweep()) {
+      opts.engine_tuning = tuning;
+      EXPECT_EQ(run_experiment(*world_, AlgoKind::kAsapRw, opts).digest,
+                base.digest)
+          << pin.name << " / " << name;
     }
   }
 }
