@@ -18,6 +18,7 @@
 
 #include "asap/ad.hpp"
 #include "asap/ad_cache.hpp"
+#include "asap/ad_plane.hpp"
 #include "asap/ad_scheduler.hpp"
 #include "asap/advertiser.hpp"
 #include "search/algorithm.hpp"
@@ -158,7 +159,9 @@ class AsapProtocol final : public search::SearchAlgorithm {
   const AdCache& cache(NodeId n) const { return caches_[n]; }
   const Advertiser& advertiser(NodeId n) const { return advertisers_[n]; }
 
-  struct Counters {
+  /// trust_strikes / readmissions come from AdmissionCounters (admission
+  /// bumps them; confirm strikes add to trust_strikes).
+  struct Counters : AdmissionCounters {
     std::uint64_t full_ads = 0;
     std::uint64_t patch_ads = 0;
     std::uint64_t refresh_ads = 0;
@@ -187,9 +190,7 @@ class AsapProtocol final : public search::SearchAlgorithm {
     std::uint64_t forced_negatives = 0; ///< stale-advertiser confirm replies
     std::uint64_t dropped_confirms = 0; ///< confirm requests silently dropped
     // Defense telemetry (all zero unless trust / overload knobs are on).
-    std::uint64_t trust_strikes = 0;
     std::uint64_t quarantines = 0;   ///< quarantine entries (trust collapse)
-    std::uint64_t readmissions = 0;  ///< quarantine exits (sentence served)
     std::uint64_t queries_shed = 0;
     std::uint64_t ttl_clamped = 0;   ///< queries whose phase 2 was suppressed
     std::uint64_t peak_pending_depth = 0;
@@ -198,30 +199,19 @@ class AsapProtocol final : public search::SearchAlgorithm {
   const AsapParams& params() const { return params_; }
 
  private:
-  std::uint64_t delivery_budget(std::size_t num_topics, double scale) const;
-
-  /// Returns `payload` unless `src` is a seeded polluter, in which case a
-  /// copy with deterministic phantom set bits (keyed on source + version,
-  /// no RNG-stream draws) is published instead. Polluters only ever ship
-  /// full ads — their patches/deltas are forced to full at the call sites
-  /// so the delta audit oracle never sees phantom bits.
-  AdPayloadPtr maybe_pollute(NodeId src, AdPayloadPtr payload);
-  bool is_polluter(NodeId n) const;
-  /// Counts a put()'s quarantine re-admission (defense telemetry).
-  void note_readmit(NodeId cacher, NodeId source, Seconds t);
-  /// Bookkeeping for an ad rejected by the fill-plausibility gate: counts
-  /// the strike + quarantine and emits the obs/trace events.
-  void note_implausible(NodeId cacher, NodeId source, Seconds t);
   bool overload_enabled() const {
     return params_.pending_query_cap > 0 || params_.ttl_clamp_depth > 0;
   }
 
-  /// Disseminates an ad from `src` starting at `when`.
-  /// For patches, `patch_positions`/`base_version` describe the delta.
-  void deliver_ad(NodeId src, AdKind kind, Seconds when, double scale,
-                  const AdPayloadPtr& payload,
-                  std::span<const std::uint32_t> patch_positions,
-                  std::uint32_t base_version);
+  /// Disseminates an ad from `src` starting at `when`; interested nodes
+  /// on the way admit it.
+  void deliver_ad(NodeId src, const AdMessage& ad, Seconds when,
+                  double scale);
+  /// Delivers a fresh full ad of n's content (polluted if n is a
+  /// polluter) and arms its refresh timer.
+  void advertise_full(NodeId n, Seconds when, double scale);
+  /// Counts one shipped ad by kind.
+  void count_sent(AdKind kind);
 
   void on_join(const trace::TraceEvent& ev);
   void on_rejoin(const trace::TraceEvent& ev);
@@ -254,20 +244,12 @@ class AsapProtocol final : public search::SearchAlgorithm {
   void on_refresh_timer(NodeId n);
 
   // --- adaptive mode (ad_mode != kVanilla) ------------------------------
-  /// One planned entry of a packed ad-round frame.
-  struct FrameEntry {
-    AdKind kind = AdKind::kRefresh;
-    AdPayloadPtr payload;
-    std::uint32_t base_version = 0;          // patch / delta entries
-    std::vector<std::uint32_t> toggles;      // patch / delta entries
-  };
-
   bool adaptive() const { return params_.ad_mode != AdMode::kVanilla; }
   /// Runs one scheduler round for `n` and ships the resulting frame.
   void run_ad_round(NodeId n);
   /// Disseminates one packed frame (Traffic::kPackedAd) with one walk.
   void deliver_packed(NodeId src, Seconds when, double scale,
-                      std::span<const FrameEntry> entries,
+                      std::span<const AdMessage> entries,
                       std::uint32_t spilled);
 
   /// Scheduler item ids in flat mode: the refresh beacon and the coalesced
@@ -277,12 +259,13 @@ class AsapProtocol final : public search::SearchAlgorithm {
 
   search::Ctx& ctx_;
   AsapParams params_;
+  SpreadParams spread_;
   std::vector<Advertiser> advertisers_;
   std::vector<AdCache> caches_;
   std::vector<std::uint8_t> refresh_scheduled_;
   std::vector<AdScheduler> scheds_;  // per node; empty in vanilla mode
   std::vector<AdScheduler::Emission> emissions_scratch_;
-  std::vector<FrameEntry> frame_scratch_;
+  std::vector<AdMessage> frame_scratch_;
   Counters counters_;
   std::vector<AdPayloadPtr> scratch_ads_;
   std::vector<AdPayloadPtr> reply_scratch_;

@@ -283,6 +283,41 @@ TEST(AsapProtocol, ZeroCacheCapacityIsAValidAblation) {
   }
 }
 
+TEST(AsapProtocol, PackedFullAdStrikesAtTheFillGateLikeAStandaloneOne) {
+  // A fill gate so tight that every honest filter trips it: admitting any
+  // full ad is an implausible strike, whether the ad travels alone (the
+  // warm-up deliveries) or inside a packed ad-round frame.
+  TestWorld w;
+  auto params = test_params();
+  params.ad_mode = AdMode::kAdaptive;
+  params.trust_fill_gate = 1e-6;
+  params.patch_to_full_threshold = 0;  // every change re-bases as a full ad
+  AsapProtocol algo(w.ctx, params);
+  warm(w, algo);
+  const auto warm_strikes = algo.counters().trust_strikes;
+  EXPECT_GT(warm_strikes, 0u) << "standalone full ads strike";
+  const auto frames = algo.counters().packed_frames;
+  const auto fulls = algo.counters().full_ads;
+
+  const NodeId sharer = w.a_sharer();
+  Rng mint_rng(5);
+  auto& model = const_cast<trace::ContentModel&>(w.model);
+  trace::TraceEvent ev;
+  ev.type = trace::TraceEventType::kAddDoc;
+  ev.time = 130.0;
+  ev.node = sharer;
+  ev.doc = model.mint_document(w.model.interests(sharer).front(), mint_rng);
+  w.engine.run_until(ev.time);
+  w.live.apply(ev, w.model);
+  algo.on_trace_event(ev);
+  w.engine.run_until(400.0);
+
+  ASSERT_GT(algo.counters().full_ads, fulls) << "the change shipped full";
+  ASSERT_GT(algo.counters().packed_frames, frames);
+  EXPECT_GT(algo.counters().trust_strikes, warm_strikes)
+      << "a packed full ad must strike at the fill gate too";
+}
+
 TEST(AsapProtocol, PaperPresetMatchesPaperParameters) {
   const auto p = AsapParams::paper(search::Scheme::kRandomWalk);
   EXPECT_EQ(p.budget_unit_m0, 3'000u);  // M0 (§IV-A)
