@@ -1,13 +1,12 @@
-// ISSUE 6 acceptance sweep: the event-queue structure (4-ary heap vs
-// ladder queue, including mid-run migrations) and the callback storage
-// path (inline SBO vs forced SlabPool fallback) are pure speed choices —
-// every configuration must replay a world to a bit-identical run digest,
-// for all six algorithms, with and without fault injection.
+// Absolute run-digest pins for the engine: the combined engine + ledger
+// digest of every paper algorithm on one small world, and of a baseline
+// and an ASAP variant under the churn, chaos and byzantine fault presets.
+// The digest hashes every executed event's (time, seq) and every ledger
+// deposit, so any change to the engine's pop order, or to what a callback
+// does, moves a pin.
 #include <gtest/gtest.h>
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "faults/fault_config.hpp"
 #include "harness/replay.hpp"
@@ -16,8 +15,8 @@
 namespace asap::harness {
 namespace {
 
-/// Smaller than determinism_test's world: this suite replays 6 algorithms
-/// x 4 engine configurations, plus 2 algorithms x 3 fault presets x 4.
+/// Smaller than determinism_test's world: this suite replays 6 algorithms,
+/// plus 2 algorithms x 3 fault presets, plus 2 ASAP extension branches.
 ExperimentConfig sweep_config() {
   auto cfg = ExperimentConfig::make(Preset::kSmall, TopologyKind::kCrawled, 23);
   cfg.content.initial_nodes = 300;
@@ -43,73 +42,55 @@ class EngineDigestTest : public ::testing::Test {
 
 World* EngineDigestTest::world_ = nullptr;
 
-struct NamedTuning {
-  const char* name;
-  sim::EngineTuning tuning;
-};
-
-std::vector<NamedTuning> tuning_sweep() {
-  sim::EngineTuning heap_only;
-  heap_only.ladder_threshold = static_cast<std::size_t>(-1);
-
-  sim::EngineTuning ladder_only;
-  ladder_only.ladder_threshold = 0;
-  ladder_only.heap_threshold = 0;
-
-  sim::EngineTuning pooled;
-  pooled.force_heap_callbacks = true;
-
-  return {
-      {"heap-only", heap_only},
-      {"ladder-only", ladder_only},
-      {"forced-pool-callbacks", pooled},
+TEST_F(EngineDigestTest, PaperAlgorithmsMatchPinnedDigests) {
+  struct Pin {
+    AlgoKind kind;
+    std::uint64_t digest;
   };
-}
-
-TEST_F(EngineDigestTest, AllQueueAndCallbackPathsMatchDefaultDigest) {
-  for (const auto kind : kAllAlgos) {
-    const auto base = run_experiment(*world_, kind);
-    ASSERT_NE(base.digest, 0u) << algo_name(kind);
-    for (const auto& [name, tuning] : tuning_sweep()) {
-      RunOptions opts;
-      opts.engine_tuning = tuning;
-      const auto res = run_experiment(*world_, kind, opts);
-      EXPECT_EQ(res.digest, base.digest) << algo_name(kind) << " / " << name;
-      EXPECT_EQ(res.engine_events, base.engine_events)
-          << algo_name(kind) << " / " << name;
-    }
+  const Pin pins[] = {
+      {AlgoKind::kFlooding, 0xbac8fbe57e2047e7ULL},
+      {AlgoKind::kRandomWalk, 0xa0c75b4f523bac49ULL},
+      {AlgoKind::kGsa, 0x4b7499c1109ed5b9ULL},
+      {AlgoKind::kAsapFld, 0x72e3409344298712ULL},
+      {AlgoKind::kAsapRw, 0x78f939c80169ebafULL},
+      {AlgoKind::kAsapGsa, 0x02ba072d31e5d0cfULL},
+  };
+  for (const Pin& pin : pins) {
+    EXPECT_EQ(run_experiment(*world_, pin.kind).digest, pin.digest)
+        << algo_name(pin.kind);
   }
 }
 
-TEST_F(EngineDigestTest, SweepHoldsUnderFaultPresets) {
+TEST_F(EngineDigestTest, FaultPresetsMatchPinnedDigests) {
   // Fault injection reshapes the event population (crash timers, burst
-  // windows, jittered latencies) — exactly the traffic that stresses
-  // rung rebuilds — so the identity must hold under the PR 5 presets too.
-  // "byzantine" adds the adversarial roles (polluters, stale advertisers,
-  // confirm droppers) and a query storm. A representative algorithm pair
-  // keeps the suite's runtime bounded: one baseline, one ASAP variant.
-  for (const auto kind : {AlgoKind::kFlooding, AlgoKind::kAsapRw}) {
-    for (const char* preset : {"churn", "chaos", "byzantine"}) {
-      RunOptions base_opts;
-      base_opts.faults = faults::fault_preset(preset).config;
-      const auto base = run_experiment(*world_, kind, base_opts);
-      ASSERT_NE(base.digest, 0u) << algo_name(kind) << " / " << preset;
-      for (const auto& [name, tuning] : tuning_sweep()) {
-        RunOptions opts = base_opts;
-        opts.engine_tuning = tuning;
-        const auto res = run_experiment(*world_, kind, opts);
-        EXPECT_EQ(res.digest, base.digest)
-            << algo_name(kind) << " / " << preset << " / " << name;
-      }
-    }
+  // windows, jittered latencies); "byzantine" adds the adversarial roles
+  // (polluters, stale advertisers, confirm droppers) and a query storm.
+  // One baseline and one ASAP variant keep the suite's runtime bounded.
+  struct Pin {
+    AlgoKind kind;
+    const char* preset;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {AlgoKind::kFlooding, "churn", 0xf9744cddde0fecbfULL},
+      {AlgoKind::kFlooding, "chaos", 0xf139aee707aceac3ULL},
+      {AlgoKind::kFlooding, "byzantine", 0xa69c0ba6c85b70c7ULL},
+      {AlgoKind::kAsapRw, "churn", 0x5548240d044dfc79ULL},
+      {AlgoKind::kAsapRw, "chaos", 0x5ddf39d70e7625d4ULL},
+      {AlgoKind::kAsapRw, "byzantine", 0xf5b55a0eed44f7f5ULL},
+  };
+  for (const Pin& pin : pins) {
+    RunOptions opts;
+    opts.faults = faults::fault_preset(pin.preset).config;
+    EXPECT_EQ(run_experiment(*world_, pin.kind, opts).digest, pin.digest)
+        << algo_name(pin.kind) << " / " << pin.preset;
   }
 }
 
 TEST_F(EngineDigestTest, AsapExtensionBranchesMatchPinnedDigests) {
   // Absolute pins for two asap(rw) extensions no golden covers: refresh
   // pull (a cacher missing the ad fetches it from the source) and the
-  // interest-biased delivery walk. Each must also hold across the queue
-  // and callback sweep.
+  // interest-biased delivery walk.
   struct Pin {
     const char* name;
     void (*apply)(ads::AsapParams&);
@@ -126,14 +107,9 @@ TEST_F(EngineDigestTest, AsapExtensionBranchesMatchPinnedDigests) {
     pin.apply(params);
     RunOptions opts;
     opts.asap = params;
-    const auto base = run_experiment(*world_, AlgoKind::kAsapRw, opts);
-    EXPECT_EQ(base.digest, pin.digest) << pin.name;
-    for (const auto& [name, tuning] : tuning_sweep()) {
-      opts.engine_tuning = tuning;
-      EXPECT_EQ(run_experiment(*world_, AlgoKind::kAsapRw, opts).digest,
-                base.digest)
-          << pin.name << " / " << name;
-    }
+    EXPECT_EQ(run_experiment(*world_, AlgoKind::kAsapRw, opts).digest,
+              pin.digest)
+        << pin.name;
   }
 }
 
