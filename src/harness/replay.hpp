@@ -19,7 +19,6 @@
 #include "search/baseline.hpp"
 #include "sim/audit.hpp"
 #include "sim/bandwidth.hpp"
-#include "sim/engine.hpp"
 
 namespace asap::harness {
 
@@ -103,12 +102,6 @@ struct RunOptions {
   /// digest is bit-identical with and without an observer attached
   /// (enforced by tests/harness/observability_test.cpp, tier 1).
   obs::RunObserver* observer = nullptr;
-  /// Event-queue tuning (sim/engine.hpp). Any setting pops events in the
-  /// same (time, seq) order, so the run digest is invariant across heap,
-  /// ladder, and forced-pool-callback configurations (enforced by
-  /// tests/harness/engine_digest_test.cpp, tier 1); non-default values are
-  /// for tests and benches only.
-  sim::EngineTuning engine_tuning;
 };
 
 /// What the fault layer did to one run (all zero when disabled).

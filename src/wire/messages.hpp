@@ -63,10 +63,9 @@ std::vector<std::uint8_t> encode_delta_ad(
     std::span<const std::uint32_t> toggles);
 
 /// Encode-into variants: clear() `w` and write the message into it. A
-/// caller encoding a stream of ads keeps one Writer — optionally backed by
-/// a pooled memory resource (sim::SlabResource) — and pays no per-message
-/// allocation once its capacity has grown; the by-value functions above
-/// are wrappers over these.
+/// caller encoding a stream of ads keeps one Writer and pays no
+/// per-message allocation once its capacity has grown; the by-value
+/// functions above are wrappers over these.
 void encode_full_ad(const ads::AdPayload& ad, Writer& w);
 void encode_patch_ad(const ads::AdPayload& ad, std::uint32_t base_version,
                      std::span<const std::uint32_t> toggles, Writer& w);
