@@ -68,6 +68,11 @@ class Value {
   /// comment); throws ConfigError on malformed input.
   std::uint64_t u64_hex() const;
 
+  /// Reads a count field: a non-negative integral number that fits in a
+  /// uint32. Throws ConfigError naming `key` on anything else, where a
+  /// plain cast would wrap -1 to 4294967295 or truncate 2.7 to 2.
+  std::uint32_t as_count(std::string_view key) const;
+
  private:
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> v_;
 };

@@ -17,6 +17,25 @@ bool FaultConfig::adversarial() const {
          confirm_dropper_fraction > 0.0 || storms > 0;
 }
 
+bool FaultConfig::adversarial_or_defended() const {
+  return adversarial() || trust_enabled || strike_per_chain ||
+         trust_fill_gate > 0 || pending_query_cap > 0 || ttl_clamp_depth > 0;
+}
+
+void FaultConfig::override_defense(bool on) {
+  if (on) {
+    trust_enabled = true;
+    strike_per_chain = true;
+    if (trust_fill_gate <= 0.0) trust_fill_gate = 0.65;
+  } else {
+    trust_enabled = false;
+    strike_per_chain = false;
+    trust_fill_gate = 0.0;
+    pending_query_cap = 0;
+    ttl_clamp_depth = 0;
+  }
+}
+
 void FaultConfig::validate() const {
   const auto in01 = [](double v) { return v >= 0.0 && v <= 1.0; };
   if (!in01(crash_fraction)) {
@@ -206,9 +225,7 @@ json::Value scenario_to_json(const FaultScenario& s) {
   o.emplace_back("confirm_backoff_s", c.confirm_backoff);
   // Adversary + defense fields: emitted only when non-default so legacy
   // scenario files round-trip byte-identically.
-  if (c.adversarial() || c.trust_enabled || c.strike_per_chain ||
-      c.trust_fill_gate > 0 || c.pending_query_cap > 0 ||
-      c.ttl_clamp_depth > 0) {
+  if (c.adversarial_or_defended()) {
     o.emplace_back("polluter_fraction", c.polluter_fraction);
     o.emplace_back("stale_advertiser_fraction", c.stale_advertiser_fraction);
     o.emplace_back("confirm_dropper_fraction", c.confirm_dropper_fraction);
@@ -241,20 +258,22 @@ FaultScenario scenario_from_json(const json::Value& v) {
     const json::Value* f = v.find(key);
     return f != nullptr ? f->as_double() : fallback;
   };
+  const auto count = [&](const char* key, std::uint32_t fallback) {
+    const json::Value* f = v.find(key);
+    return f != nullptr ? f->as_count(key) : fallback;
+  };
   c.crash_fraction = num("crash_fraction", c.crash_fraction);
   c.crash_detection = num("crash_detection_s", c.crash_detection);
   c.link_loss = num("link_loss", c.link_loss);
   c.latency_jitter = num("latency_jitter", c.latency_jitter);
-  c.partitions = static_cast<std::uint32_t>(num("partitions", c.partitions));
+  c.partitions = count("partitions", c.partitions);
   c.partition_duration = num("partition_duration_s", c.partition_duration);
   c.partition_fraction = num("partition_fraction", c.partition_fraction);
-  c.bursts = static_cast<std::uint32_t>(num("bursts", c.bursts));
+  c.bursts = count("bursts", c.bursts);
   c.burst_duration = num("burst_duration_s", c.burst_duration);
   c.burst_loss = num("burst_loss", c.burst_loss);
-  c.confirm_attempts =
-      static_cast<std::uint32_t>(num("confirm_attempts", c.confirm_attempts));
-  c.stale_strikes =
-      static_cast<std::uint32_t>(num("stale_strikes", c.stale_strikes));
+  c.confirm_attempts = count("confirm_attempts", c.confirm_attempts);
+  c.stale_strikes = count("stale_strikes", c.stale_strikes);
   c.confirm_backoff = num("confirm_backoff_s", c.confirm_backoff);
   const auto flag = [&](const char* key, bool fallback) {
     const json::Value* f = v.find(key);
@@ -265,16 +284,13 @@ FaultScenario scenario_from_json(const json::Value& v) {
       num("stale_advertiser_fraction", c.stale_advertiser_fraction);
   c.confirm_dropper_fraction =
       num("confirm_dropper_fraction", c.confirm_dropper_fraction);
-  c.pollution_bits =
-      static_cast<std::uint32_t>(num("pollution_bits", c.pollution_bits));
-  c.storms = static_cast<std::uint32_t>(num("storms", c.storms));
+  c.pollution_bits = count("pollution_bits", c.pollution_bits);
+  c.storms = count("storms", c.storms);
   c.storm_duration = num("storm_duration_s", c.storm_duration);
-  c.storm_emitters =
-      static_cast<std::uint32_t>(num("storm_emitters", c.storm_emitters));
-  c.storm_queries_per_emitter = static_cast<std::uint32_t>(
-      num("storm_queries_per_emitter", c.storm_queries_per_emitter));
-  c.storm_hot_terms =
-      static_cast<std::uint32_t>(num("storm_hot_terms", c.storm_hot_terms));
+  c.storm_emitters = count("storm_emitters", c.storm_emitters);
+  c.storm_queries_per_emitter =
+      count("storm_queries_per_emitter", c.storm_queries_per_emitter);
+  c.storm_hot_terms = count("storm_hot_terms", c.storm_hot_terms);
   c.trust_enabled = flag("trust_enabled", c.trust_enabled);
   c.trust_reward = num("trust_reward", c.trust_reward);
   c.trust_strike_decay = num("trust_strike_decay", c.trust_strike_decay);
@@ -284,10 +300,8 @@ FaultScenario scenario_from_json(const json::Value& v) {
       num("trust_quarantine_backoff_s", c.trust_quarantine_backoff);
   c.trust_fill_gate = num("trust_fill_gate", c.trust_fill_gate);
   c.strike_per_chain = flag("strike_per_chain", c.strike_per_chain);
-  c.pending_query_cap =
-      static_cast<std::uint32_t>(num("pending_query_cap", c.pending_query_cap));
-  c.ttl_clamp_depth =
-      static_cast<std::uint32_t>(num("ttl_clamp_depth", c.ttl_clamp_depth));
+  c.pending_query_cap = count("pending_query_cap", c.pending_query_cap);
+  c.ttl_clamp_depth = count("ttl_clamp_depth", c.ttl_clamp_depth);
   c.validate();
   return s;
 }

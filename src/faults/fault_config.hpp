@@ -120,6 +120,14 @@ struct FaultConfig {
   /// True when any adversarial role or storm is configured (defense knobs
   /// alone do not count, mirroring the hardening knobs).
   bool adversarial() const;
+  /// True when an adversary or any defense knob is set: the runs that
+  /// report adversary metrics and the scenarios that write the adversary
+  /// and defense fields to JSON.
+  bool adversarial_or_defended() const;
+  /// The --trust on|off override. On arms trust scoring, strike-per-chain
+  /// accounting and (if unset) the 0.65 fill gate; off clears them and
+  /// the storm shields (pending-query cap, TTL clamp-down).
+  void override_defense(bool on);
 
   // --- protocol hardening (applied only when the fault layer is armed) ---
   /// Confirm attempts per candidate; 0 = keep the protocol default (1).

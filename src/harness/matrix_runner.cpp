@@ -193,19 +193,7 @@ MatrixResult run_matrix(const MatrixSpec& spec) {
     // arms no injector and stays bit-identical to a legacy matrix cell.
     if (scen.config.any()) {
       faults::FaultConfig fc = scen.config;
-      if (spec.trust.has_value()) {
-        if (*spec.trust) {
-          fc.trust_enabled = true;
-          fc.strike_per_chain = true;
-          if (fc.trust_fill_gate <= 0.0) fc.trust_fill_gate = 0.65;
-        } else {
-          fc.trust_enabled = false;
-          fc.strike_per_chain = false;
-          fc.trust_fill_gate = 0.0;
-          fc.pending_query_cap = 0;
-          fc.ttl_clamp_depth = 0;
-        }
-      }
+      if (spec.trust.has_value()) fc.override_defense(*spec.trust);
       opts.faults = fc;
     }
     slot.result =
@@ -441,15 +429,15 @@ MatrixSpec spec_from_json(const json::Value& doc) {
                  "results spec: empty fault_scenarios");
   }
   out.seed = spec.at("seed").u64_hex();
-  out.trials = static_cast<std::uint32_t>(spec.at("trials").as_double());
-  out.queries = static_cast<std::uint32_t>(spec.at("queries").as_double());
+  out.trials = spec.at("trials").as_count("trials");
+  out.queries = spec.at("queries").as_count("queries");
   out.options.message_loss = spec.at("message_loss").as_double();
   out.options.audit = spec.at("audit").as_bool();
   // Older results files predate the scale axis; absent means the preset's
   // own dimensions (scale = 0) with a materialized trace, exactly what
   // every pre-scale artifact ran with.
   if (const json::Value* scale = spec.find("scale")) {
-    out.scale = static_cast<std::uint32_t>(scale->as_double());
+    out.scale = scale->as_count("scale");
   }
   if (const json::Value* stream = spec.find("stream_trace")) {
     out.stream_trace = stream->as_bool();

@@ -66,7 +66,7 @@ struct MatrixSpec {
   /// absent results.json keys round-trip to). `on` forces trust scoring
   /// (plus the per-chain strike guard) across all fault-armed scenarios;
   /// `off` strips trust *and* overload protection, the defense-off control
-  /// arm of the adversarial golden.
+  /// arm of the adversarial golden (faults::FaultConfig::override_defense).
   std::optional<bool> trust;
   /// Options applied to every cell (audit, message_loss, seed_salt is
   /// reserved for the runner and must stay 0).

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 #include "common/json.hpp"
 
@@ -136,6 +138,74 @@ TEST(FaultScenarioJson, AbsentKeysKeepDefaultsAndBadValuesThrow) {
   bad.emplace_back("name", "broken");
   bad.emplace_back("crash_fraction", 7.0);
   EXPECT_THROW(scenario_from_json(json::Value(std::move(bad))), ConfigError);
+}
+
+TEST(FaultScenarioJson, CountFieldsRejectNegativeFractionalAndOversizedValues) {
+  // A cast from double would load -1 as 4294967295 storm episodes, 2.7
+  // partitions as 2 and 1e12 phantom bits as 3567587328; each must be
+  // rejected with an error that names the offending key.
+  const char* keys[] = {"partitions",       "bursts",
+                        "confirm_attempts", "stale_strikes",
+                        "pollution_bits",   "storms",
+                        "storm_emitters",   "storm_queries_per_emitter",
+                        "storm_hot_terms",  "pending_query_cap",
+                        "ttl_clamp_depth"};
+  for (const char* key : keys) {
+    for (const double bad : {-1.0, -3.0, 2.7, 1e12, 4294967296.0}) {
+      json::Object o;
+      o.emplace_back("name", "bad-count");
+      o.emplace_back(key, bad);
+      try {
+        scenario_from_json(json::Value(std::move(o)));
+        ADD_FAILURE() << key << " = " << bad << " was accepted";
+      } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << "error does not name the key: " << e.what();
+      }
+    }
+    json::Object ok;
+    ok.emplace_back("name", "max-count");
+    ok.emplace_back(key, 4294967295.0);
+    EXPECT_NO_THROW(scenario_from_json(json::Value(std::move(ok)))) << key;
+  }
+}
+
+TEST(FaultConfig, DefenseOverrideArmsAndStripsTheDefense) {
+  FaultConfig on = fault_preset("storm-open").config;
+  on.override_defense(true);
+  EXPECT_TRUE(on.trust_enabled);
+  EXPECT_TRUE(on.strike_per_chain);
+  EXPECT_DOUBLE_EQ(on.trust_fill_gate, 0.65);
+
+  FaultConfig kept = fault_preset("polluted").config;
+  kept.trust_fill_gate = 0.8;
+  kept.override_defense(true);
+  EXPECT_DOUBLE_EQ(kept.trust_fill_gate, 0.8) << "a set gate is kept";
+
+  FaultConfig off = fault_preset("byzantine").config;
+  off.override_defense(false);
+  EXPECT_FALSE(off.trust_enabled);
+  EXPECT_FALSE(off.strike_per_chain);
+  EXPECT_DOUBLE_EQ(off.trust_fill_gate, 0.0);
+  EXPECT_EQ(off.pending_query_cap, 0u);
+  EXPECT_EQ(off.ttl_clamp_depth, 0u);
+  EXPECT_TRUE(off.adversarial()) << "the adversaries themselves stay";
+}
+
+TEST(FaultConfig, EveryDefenseKnobCountsAsDefended) {
+  EXPECT_FALSE(FaultConfig{}.adversarial_or_defended());
+  for (int which = 0; which < 6; ++which) {
+    FaultConfig c;
+    switch (which) {
+      case 0: c.storms = 1; break;
+      case 1: c.trust_enabled = true; break;
+      case 2: c.strike_per_chain = true; break;
+      case 3: c.trust_fill_gate = 0.65; break;
+      case 4: c.pending_query_cap = 32; break;
+      case 5: c.ttl_clamp_depth = 24; break;
+    }
+    EXPECT_TRUE(c.adversarial_or_defended()) << "knob " << which;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -170,6 +171,43 @@ TEST(MatrixRunner, ResultsJsonRoundTripsTheSpec) {
   for (const auto& run : result.trials) {
     EXPECT_TRUE(run.result.audited);
     EXPECT_EQ(run.result.audit_violations, 0u);
+  }
+}
+
+TEST(MatrixRunner, SpecJsonRejectsCountsThatAreNotUint32) {
+  // trials, queries and scale are counts: a negative, fractional or
+  // oversized value must be rejected naming the key, not wrapped or
+  // truncated by a cast.
+  const auto spec_with = [](const char* key, double value) {
+    json::Object spec;
+    spec.emplace_back("preset", "small");
+    spec.emplace_back("topologies", json::Array{json::Value("crawled")});
+    spec.emplace_back("algos", json::Array{json::Value("flooding")});
+    spec.emplace_back("seed", json::hex_u64(7));
+    spec.emplace_back("trials", 2);
+    spec.emplace_back("queries", 0);
+    spec.emplace_back("message_loss", 0.0);
+    spec.emplace_back("audit", false);
+    spec.emplace_back("scale", 0);
+    for (auto& [k, v] : spec) {
+      if (k == key) v = json::Value(value);
+    }
+    json::Object doc;
+    doc.emplace_back("spec", std::move(spec));
+    return json::Value(std::move(doc));
+  };
+  for (const char* key : {"trials", "queries", "scale"}) {
+    EXPECT_EQ(spec_from_json(spec_with(key, 4294967295.0)).trials,
+              std::string(key) == "trials" ? 4294967295u : 2u);
+    for (const double bad : {-1.0, 2.7, 1e12, 4294967296.0}) {
+      try {
+        spec_from_json(spec_with(key, bad));
+        ADD_FAILURE() << key << " = " << bad << " was accepted";
+      } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << "error does not name the key: " << e.what();
+      }
+    }
   }
 }
 

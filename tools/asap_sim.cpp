@@ -518,19 +518,7 @@ int main(int argc, char** argv) {
           if (!args.fault_scenarios.empty() &&
               args.fault_scenarios.front().config.any()) {
             faults::FaultConfig fc = args.fault_scenarios.front().config;
-            if (args.trust.has_value()) {
-              if (*args.trust) {
-                fc.trust_enabled = true;
-                fc.strike_per_chain = true;
-                if (fc.trust_fill_gate <= 0.0) fc.trust_fill_gate = 0.65;
-              } else {
-                fc.trust_enabled = false;
-                fc.strike_per_chain = false;
-                fc.trust_fill_gate = 0.0;
-                fc.pending_query_cap = 0;
-                fc.ttl_clamp_depth = 0;
-              }
-            }
+            if (args.trust.has_value()) fc.override_defense(*args.trust);
             opts.faults = fc;
           }
           // Safe across the pool: tracing is restricted to one algorithm
