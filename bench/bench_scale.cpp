@@ -1,6 +1,6 @@
 // Scale sweep (DESIGN.md §15): world-build and replay cost from 10k to 1M
 // peers on one machine. Exercises the pooled CSR overlay, the SoA/FlatMap
-// node state and streaming trace synthesis end to end, and emits the
+// node state and on-demand trace synthesis end to end, and emits the
 // machine-readable BENCH_scale.json that tools/check_bench_scale.py gates
 // in CI (--enforce pins the 1M bytes-per-node budget).
 //
@@ -102,7 +102,6 @@ struct Row {
   std::uint32_t nodes = 0;
   std::string algo;
   std::uint32_t queries = 0;
-  bool streaming = false;
   double world_build_seconds = 0.0;
   double run_wall_seconds = 0.0;
   std::uint64_t engine_events = 0;
@@ -138,8 +137,7 @@ int main(int argc, char** argv) {
     const World world = build_world(cfg);
     const double build_seconds = seconds_since(build_start);
     std::cerr << "[scale " << scale << "] world built in " << build_seconds
-              << "s (streaming=" << (world.streaming.enabled ? "yes" : "no")
-              << ")\n";
+              << "s\n";
 
     std::vector<AlgoKind> algos = args.algos;
     if (algos.empty()) {
@@ -159,7 +157,6 @@ int main(int argc, char** argv) {
       row.nodes = cfg.content.initial_nodes;
       row.algo = r.algo;
       row.queries = cfg.trace.num_queries;
-      row.streaming = world.streaming.enabled;
       row.world_build_seconds = build_seconds;
       row.run_wall_seconds = run_seconds;
       row.engine_events = r.engine_events;
@@ -181,10 +178,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  TextTable table({"scale", "algo", "stream", "build s", "run s", "events",
-                   "B/node", "peak RSS MiB"});
+  TextTable table({"scale", "algo", "build s", "run s", "events", "B/node",
+                   "peak RSS MiB"});
   for (const auto& r : rows) {
-    table.add_row({std::to_string(r.scale), r.algo, r.streaming ? "yes" : "no",
+    table.add_row({std::to_string(r.scale), r.algo,
                    TextTable::num(r.world_build_seconds, 2),
                    TextTable::num(r.run_wall_seconds, 2),
                    std::to_string(r.engine_events),
@@ -203,7 +200,6 @@ int main(int argc, char** argv) {
       o.emplace_back("nodes", static_cast<double>(r.nodes));
       o.emplace_back("algo", r.algo);
       o.emplace_back("queries", static_cast<double>(r.queries));
-      o.emplace_back("streaming", r.streaming);
       o.emplace_back("world_build_seconds", r.world_build_seconds);
       o.emplace_back("run_wall_seconds", r.run_wall_seconds);
       o.emplace_back("engine_events", static_cast<double>(r.engine_events));

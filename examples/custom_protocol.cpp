@@ -11,20 +11,21 @@
 // The example shows the full extension surface: derive from
 // search::SearchAlgorithm, drive the propagation kernels, account traffic
 // via the shared BandwidthLedger, and record metrics with SearchStats —
-// then replay the trace by hand (the same loop harness::run_experiment
-// uses internally).
+// then hand harness::run_experiment a factory for it, so the custom
+// protocol replays through the same loop (churn, liveness, faults) as the
+// built-in systems.
 //
 //   ./custom_protocol [seed]
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
+#include <memory>
 
 #include "common/table.hpp"
 #include "harness/replay.hpp"
 #include "harness/world.hpp"
 #include "search/propagation.hpp"
-#include "sim/liveness.hpp"
 
 namespace {
 
@@ -77,32 +78,6 @@ class ExpandingRingSearch final : public search::SearchAlgorithm {
   std::uint32_t max_ttl_;
 };
 
-/// Minimal replay loop for a hand-constructed algorithm (the library's
-/// run_experiment does exactly this for the built-in systems).
-metrics::SearchStats replay(const harness::World& world,
-                            search::SearchAlgorithm& algo,
-                            overlay::Overlay& ov, trace::LiveContent& live,
-                            trace::ContentIndex& index, sim::Engine& engine,
-                            Rng& churn_rng) {
-  const Seconds warmup = world.cfg.warmup;
-  algo.warm_up(warmup);
-  for (const auto& ev : world.trace.events) {
-    const Seconds t = ev.time + warmup;
-    engine.run_until(t);
-    if (ev.type == trace::TraceEventType::kJoin) {
-      ov.attach_new(world.cfg.join_degree, churn_rng);
-    } else if (ev.type == trace::TraceEventType::kLeave) {
-      ov.detach(ev.node);
-    }
-    live.apply(ev, world.model);
-    index.apply(ev, world.model);
-    trace::TraceEvent shifted = ev;
-    shifted.time = t;
-    algo.on_trace_event(shifted);
-  }
-  return algo.stats();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -117,40 +92,31 @@ int main(int argc, char** argv) {
 
   TextTable table(
       {"algorithm", "success %", "resp ms", "cost/search", "msgs/search"});
-
-  // The custom protocol, replayed by hand.
-  {
-    overlay::Overlay ov = world.base_overlay;
-    trace::LiveContent live(world.model);
-    trace::ContentIndex index(world.model, live);
-    sim::Engine engine;
-    sim::BandwidthLedger ledger(world.cfg.warmup + world.trace.horizon +
-                                30.0);
-    Rng algo_rng(seed);
-    Rng churn_rng(seed ^ 0x2545F4914F6CDD1DULL);
-    search::Ctx ctx(ov, world.phys, world.node_phys, world.model, live,
-                    index, engine, ledger, cfg.sizes, algo_rng);
-    ExpandingRingSearch ring(ctx, 16);
-    std::cout << "running expanding-ring...\n";
-    const auto stats = replay(world, ring, ov, live, index, engine,
-                              churn_rng);
-    table.add_row({ring.name(),
-                   TextTable::num(100.0 * stats.success_rate(), 1),
-                   TextTable::num(1e3 * stats.avg_response_time(), 1),
-                   TextTable::bytes(stats.avg_cost_bytes()),
-                   TextTable::num(stats.avg_messages(), 1)});
-  }
-
-  // Built-in references on the identical workload.
-  for (const auto kind :
-       {harness::AlgoKind::kFlooding, harness::AlgoKind::kAsapRw}) {
-    std::cout << "running " << harness::algo_name(kind) << "...\n";
-    const auto res = harness::run_experiment(world, kind);
+  const auto add_row = [&](const harness::RunResult& res) {
     table.add_row({res.algo,
                    TextTable::num(100.0 * res.search.success_rate(), 1),
                    TextTable::num(1e3 * res.search.avg_response_time(), 1),
                    TextTable::bytes(res.search.avg_cost_bytes()),
                    TextTable::num(res.search.avg_messages(), 1)});
+  };
+
+  // The custom protocol: a name, the traffic that counts as its load, and
+  // a factory over the run's context.
+  const harness::SystemSpec ring{
+      "expanding-ring",
+      {sim::Traffic::kQuery},
+      [](search::Ctx& ctx) {
+        return std::make_unique<ExpandingRingSearch>(ctx, 16);
+      },
+      {}};
+  std::cout << "running " << ring.name << "...\n";
+  add_row(harness::run_experiment(world, ring));
+
+  // Built-in references on the identical workload.
+  for (const auto kind :
+       {harness::AlgoKind::kFlooding, harness::AlgoKind::kAsapRw}) {
+    std::cout << "running " << harness::algo_name(kind) << "...\n";
+    add_row(harness::run_experiment(world, kind));
   }
   std::cout << '\n';
   table.print(std::cout);

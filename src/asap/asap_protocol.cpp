@@ -11,7 +11,18 @@ namespace asap::ads {
 
 namespace {
 constexpr Seconds kInfTime = std::numeric_limits<Seconds>::infinity();
-}
+/// Refresh beacons flood shallower than full/patch ads (ASAP(FLD)).
+constexpr std::uint32_t kRefreshFloodTtl = 3;
+/// Caps on one failure-path ads-request reply: ads in total, and topical
+/// (non-term-matching) ads among them.
+constexpr std::uint32_t kAdsReplyMax = 16;
+constexpr std::uint32_t kAdsReplyTopicalMax = 8;
+/// Confirmations per lookup round.
+constexpr std::uint32_t kMaxConfirms = 8;
+/// Byte budget for confirm retries per confirm round, so total-loss
+/// scenarios terminate with bounded cost.
+constexpr Bytes kConfirmRetryBudget = 4'096;
+}  // namespace
 
 AsapParams AsapParams::paper(search::Scheme s) {
   AsapParams p;
@@ -72,11 +83,7 @@ AsapProtocol::AsapProtocol(search::Ctx& ctx, AsapParams params)
   }
   if (overload_enabled()) pending_.resize(slots);
   if (adaptive()) {
-    AdSchedulerParams sp;
-    sp.round_budget = params_.ad_round_budget;
-    sp.stable_after = params_.ad_stable_after;
-    sp.very_stable_after = params_.ad_very_stable_after;
-    scheds_.assign(slots, AdScheduler(sp));
+    scheds_.assign(slots, AdScheduler());
   }
 }
 
@@ -166,8 +173,8 @@ void AsapProtocol::deliver_ad(NodeId src, const AdMessage& ad, Seconds when,
     return search::VisitAction::kContinue;
   };
 
-  const auto ttl = ad.kind == AdKind::kRefresh ? params_.refresh_flood_ttl
-                                               : params_.flood_ttl;
+  const auto ttl =
+      ad.kind == AdKind::kRefresh ? kRefreshFloodTtl : params_.flood_ttl;
   const auto prop =
       disseminate(ctx_, spread_, src, when, ttl, scale, ad.payload->topics,
                   msg_size, ad_traffic(ad.kind), visit);
@@ -332,7 +339,7 @@ void AsapProtocol::deliver_packed(NodeId src, Seconds when, double scale,
     return search::VisitAction::kContinue;
   };
 
-  const auto ttl = beacon_only ? params_.refresh_flood_ttl : params_.flood_ttl;
+  const auto ttl = beacon_only ? kRefreshFloodTtl : params_.flood_ttl;
   const auto prop = disseminate(ctx_, spread_, src, when, ttl, scale,
                                 entries.front().payload->topics, msg_size,
                                 sim::Traffic::kPackedAd, visit);
@@ -468,9 +475,9 @@ Seconds AsapProtocol::confirm_round(NodeId p, Seconds start,
   std::uint32_t sent = 0;
   const std::uint32_t max_attempts =
       std::max<std::uint32_t>(1, params_.confirm_max_attempts);
-  Bytes retry_budget_left = params_.confirm_retry_budget;
+  Bytes retry_budget_left = kConfirmRetryBudget;
   for (const auto& ad : candidates) {
-    if (sent >= params_.max_confirms) break;
+    if (sent >= kMaxConfirms) break;
     const NodeId s = ad->source;
     if (s == p) continue;
     ++sent;
@@ -487,10 +494,8 @@ Seconds AsapProtocol::confirm_round(NodeId p, Seconds start,
       if (attempt > 1) {
         // Retries share a per-round byte budget so a fully-lossy network
         // still terminates with bounded cost.
-        if (params_.confirm_retry_budget != 0) {
-          if (retry_budget_left < ctx_.sizes.confirm_request) break;
-          retry_budget_left -= ctx_.sizes.confirm_request;
-        }
+        if (retry_budget_left < ctx_.sizes.confirm_request) break;
+        retry_budget_left -= ctx_.sizes.confirm_request;
         ++counters_.confirm_retries;
         counters_.retry_bytes += ctx_.sizes.confirm_request;
         ASAP_OBS_HOOK(ctx_.obs, on_confirm_retry(p));
@@ -631,9 +636,9 @@ Seconds AsapProtocol::ads_request_phase(
   const auto& interests = ctx_.model.interests(p);
 
   const std::uint32_t total_cap =
-      query.empty() ? params_.join_reply_max : params_.ads_reply_max;
+      query.empty() ? params_.join_reply_max : kAdsReplyMax;
   const std::uint32_t topical_cap =
-      query.empty() ? params_.join_reply_max : params_.ads_reply_topical_max;
+      query.empty() ? params_.join_reply_max : kAdsReplyTopicalMax;
   auto visit = [&](NodeId v, Seconds t, std::uint32_t) {
     caches_[v].collect_for_reply(query, interests, total_cap, topical_cap,
                                  reply_scratch_);

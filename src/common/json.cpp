@@ -16,6 +16,12 @@ namespace {
 
 }  // namespace
 
+Value::Value(const Value& other) = default;
+Value::Value(Value&& other) noexcept = default;
+Value& Value::operator=(const Value& other) = default;
+Value& Value::operator=(Value&& other) noexcept = default;
+Value::~Value() = default;
+
 bool Value::as_bool() const {
   if (!is_bool()) type_error("a bool");
   return std::get<bool>(v_);

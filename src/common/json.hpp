@@ -42,6 +42,15 @@ class Value {
   Value(std::string s) : v_(std::move(s)) {}
   Value(Array a) : v_(std::move(a)) {}
   Value(Object o) : v_(std::move(o)) {}
+  // Copy, move and destruction are defined out of line. Inlined into every
+  // emplace_back, the variant's move trips GCC 12's -Wmaybe-uninitialized
+  // and -Warray-bounds false positives, which -DASAP_WERROR=ON turns into
+  // build failures.
+  Value(const Value& other);
+  Value(Value&& other) noexcept;
+  Value& operator=(const Value& other);
+  Value& operator=(Value&& other) noexcept;
+  ~Value();
 
   bool is_null() const { return std::holds_alternative<std::nullptr_t>(v_); }
   bool is_bool() const { return std::holds_alternative<bool>(v_); }

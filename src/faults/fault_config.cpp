@@ -1,7 +1,10 @@
 #include "faults/fault_config.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -208,21 +211,22 @@ FaultScenario scenario_from_spec(const std::string& spec) {
 
 json::Value scenario_to_json(const FaultScenario& s) {
   const FaultConfig& c = s.config;
-  json::Object o;
-  o.emplace_back("name", s.name);
-  o.emplace_back("crash_fraction", c.crash_fraction);
-  o.emplace_back("crash_detection_s", c.crash_detection);
-  o.emplace_back("link_loss", c.link_loss);
-  o.emplace_back("latency_jitter", c.latency_jitter);
-  o.emplace_back("partitions", static_cast<double>(c.partitions));
-  o.emplace_back("partition_duration_s", c.partition_duration);
-  o.emplace_back("partition_fraction", c.partition_fraction);
-  o.emplace_back("bursts", static_cast<double>(c.bursts));
-  o.emplace_back("burst_duration_s", c.burst_duration);
-  o.emplace_back("burst_loss", c.burst_loss);
-  o.emplace_back("confirm_attempts", static_cast<double>(c.confirm_attempts));
-  o.emplace_back("stale_strikes", static_cast<double>(c.stale_strikes));
-  o.emplace_back("confirm_backoff_s", c.confirm_backoff);
+  json::Object o{
+      {"name", s.name},
+      {"crash_fraction", c.crash_fraction},
+      {"crash_detection_s", c.crash_detection},
+      {"link_loss", c.link_loss},
+      {"latency_jitter", c.latency_jitter},
+      {"partitions", static_cast<double>(c.partitions)},
+      {"partition_duration_s", c.partition_duration},
+      {"partition_fraction", c.partition_fraction},
+      {"bursts", static_cast<double>(c.bursts)},
+      {"burst_duration_s", c.burst_duration},
+      {"burst_loss", c.burst_loss},
+      {"confirm_attempts", static_cast<double>(c.confirm_attempts)},
+      {"stale_strikes", static_cast<double>(c.stale_strikes)},
+      {"confirm_backoff_s", c.confirm_backoff},
+  };
   // Adversary + defense fields: emitted only when non-default so legacy
   // scenario files round-trip byte-identically.
   if (c.adversarial_or_defended()) {
@@ -254,12 +258,19 @@ FaultScenario scenario_from_json(const json::Value& v) {
   FaultScenario s;
   s.name = v.at("name").as_string();
   FaultConfig& c = s.config;
+  // Every key this reader knows; anything else is a typo that would
+  // otherwise silently run the default.
+  std::vector<std::string_view> known{"name"};
+  const auto find = [&](const char* key) {
+    known.emplace_back(key);
+    return v.find(key);
+  };
   const auto num = [&](const char* key, double fallback) {
-    const json::Value* f = v.find(key);
+    const json::Value* f = find(key);
     return f != nullptr ? f->as_double() : fallback;
   };
   const auto count = [&](const char* key, std::uint32_t fallback) {
-    const json::Value* f = v.find(key);
+    const json::Value* f = find(key);
     return f != nullptr ? f->as_count(key) : fallback;
   };
   c.crash_fraction = num("crash_fraction", c.crash_fraction);
@@ -276,7 +287,7 @@ FaultScenario scenario_from_json(const json::Value& v) {
   c.stale_strikes = count("stale_strikes", c.stale_strikes);
   c.confirm_backoff = num("confirm_backoff_s", c.confirm_backoff);
   const auto flag = [&](const char* key, bool fallback) {
-    const json::Value* f = v.find(key);
+    const json::Value* f = find(key);
     return f != nullptr ? f->as_bool() : fallback;
   };
   c.polluter_fraction = num("polluter_fraction", c.polluter_fraction);
@@ -302,6 +313,12 @@ FaultScenario scenario_from_json(const json::Value& v) {
   c.strike_per_chain = flag("strike_per_chain", c.strike_per_chain);
   c.pending_query_cap = count("pending_query_cap", c.pending_query_cap);
   c.ttl_clamp_depth = count("ttl_clamp_depth", c.ttl_clamp_depth);
+  for (const auto& entry : v.as_object()) {
+    if (std::find(known.begin(), known.end(), entry.first) == known.end()) {
+      throw ConfigError("fault scenario '" + s.name + "': unknown key '" +
+                        entry.first + "'");
+    }
+  }
   c.validate();
   return s;
 }

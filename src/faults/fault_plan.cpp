@@ -27,26 +27,6 @@ constexpr Seconds kInf = std::numeric_limits<Seconds>::infinity();
 
 FaultPlan FaultPlan::build(const FaultConfig& cfg, std::uint64_t seed,
                            std::uint32_t initial_nodes,
-                           std::span<const trace::TraceEvent> trace_events,
-                           Seconds measure_start, Seconds measure_end,
-                           std::uint32_t num_stub_domains) {
-  // Reduce the events to the churned-initial-node bitmap and delegate;
-  // membership is a function of the trace alone, so the candidate list —
-  // and therefore the draw sequence — is identical for every algorithm.
-  std::vector<std::uint8_t> churned(initial_nodes, 0);
-  for (const auto& ev : trace_events) {
-    if (ev.type == trace::TraceEventType::kJoin ||
-        ev.type == trace::TraceEventType::kLeave ||
-        ev.type == trace::TraceEventType::kRejoin) {
-      if (ev.node < initial_nodes) churned[ev.node] = 1;
-    }
-  }
-  return build(cfg, seed, initial_nodes, std::span<const std::uint8_t>(churned),
-               measure_start, measure_end, num_stub_domains);
-}
-
-FaultPlan FaultPlan::build(const FaultConfig& cfg, std::uint64_t seed,
-                           std::uint32_t initial_nodes,
                            std::span<const std::uint8_t> churned_initial,
                            Seconds measure_start, Seconds measure_end,
                            std::uint32_t num_stub_domains) {

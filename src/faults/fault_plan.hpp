@@ -18,7 +18,6 @@
 
 #include "common/types.hpp"
 #include "faults/fault_config.hpp"
-#include "trace/trace.hpp"
 
 namespace asap::faults {
 
@@ -55,17 +54,9 @@ class FaultPlan {
 
   /// Compiles `cfg` for one run. Crash/partition/burst times land inside
   /// [measure_start, measure_end); crash nodes are drawn from the initial
-  /// population minus every trace-churned node.
-  static FaultPlan build(const FaultConfig& cfg, std::uint64_t seed,
-                         std::uint32_t initial_nodes,
-                         std::span<const trace::TraceEvent> trace_events,
-                         Seconds measure_start, Seconds measure_end,
-                         std::uint32_t num_stub_domains);
-
-  /// Same plan, but the trace's churn contribution arrives pre-reduced as
-  /// a bitmap over the initial nodes (churned_initial[n] != 0 when the
-  /// trace joins/leaves/rejoins node n). Streaming worlds never hold the
-  /// events vector, so they record this bitmap during the build pre-pass.
+  /// population minus every trace-churned node, which arrives as a bitmap
+  /// (churned_initial[n] != 0 when the trace joins/leaves/rejoins node n;
+  /// World::streaming.churned records it during the build pass).
   static FaultPlan build(const FaultConfig& cfg, std::uint64_t seed,
                          std::uint32_t initial_nodes,
                          std::span<const std::uint8_t> churned_initial,

@@ -63,9 +63,6 @@ void ExperimentConfig::apply_scale(std::uint32_t n) {
   const std::uint32_t per_domain = phys.stub_nodes_per_domain;
   phys.stub_domains_per_transit =
       (slots + transits * per_domain - 1) / (transits * per_domain);
-
-  // Large worlds never materialize the trace.
-  if (n >= 100'000) stream_trace = true;
 }
 
 ExperimentConfig ExperimentConfig::make(Preset preset, TopologyKind topology,

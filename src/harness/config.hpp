@@ -60,12 +60,6 @@ struct ExperimentConfig {
   /// committed goldens. RunOptions::faults overrides this per run.
   faults::FaultConfig faults;
 
-  /// Synthesize trace events on demand during the run instead of
-  /// materializing the O(events) vector in the World. The event stream is
-  /// bit-identical either way (tests/trace/streaming_trace_test.cpp);
-  /// apply_scale turns this on automatically at >= 100k nodes.
-  bool stream_trace = false;
-
   /// Node-count override applied by apply_scale (0 = preset default).
   /// Recorded so result JSON and matrix specs can round-trip the axis.
   std::uint32_t scale = 0;

@@ -145,7 +145,6 @@ MatrixResult run_matrix(const MatrixSpec& spec) {
     auto cfg = ExperimentConfig::make(spec.preset, topo, world_seed_of(trial));
     if (spec.queries != 0) cfg.trace.num_queries = spec.queries;
     if (spec.scale != 0) cfg.apply_scale(spec.scale);
-    if (spec.stream_trace) cfg.stream_trace = true;
     if (spec.tweak) spec.tweak(cfg);
     return cfg;
   };
@@ -278,7 +277,6 @@ json::Value results_to_json(const MatrixResult& result) {
   spec_obj.emplace_back("message_loss", spec.options.message_loss);
   spec_obj.emplace_back("audit", spec.options.audit);
   spec_obj.emplace_back("scale", static_cast<double>(spec.scale));
-  spec_obj.emplace_back("stream_trace", spec.stream_trace);
   // Only recorded when the CLI override was given: absent = legacy file =
   // scenarios run with their own defense knobs.
   if (spec.trust.has_value()) {
@@ -434,13 +432,11 @@ MatrixSpec spec_from_json(const json::Value& doc) {
   out.options.message_loss = spec.at("message_loss").as_double();
   out.options.audit = spec.at("audit").as_bool();
   // Older results files predate the scale axis; absent means the preset's
-  // own dimensions (scale = 0) with a materialized trace, exactly what
-  // every pre-scale artifact ran with.
+  // own dimensions (scale = 0), exactly what every pre-scale artifact ran
+  // with. Keys this reader does not know are ignored, so committed files
+  // that still carry retired spec keys (docs/RESULTS_SCHEMA.md) re-run.
   if (const json::Value* scale = spec.find("scale")) {
     out.scale = scale->as_count("scale");
-  }
-  if (const json::Value* stream = spec.find("stream_trace")) {
-    out.stream_trace = stream->as_bool();
   }
   // Absent = legacy file = no defense override (tri-state stays unset).
   if (const json::Value* trust = spec.find("trust")) {

@@ -58,9 +58,6 @@ struct MatrixSpec {
   /// Node-count override (0 = preset default). Non-zero re-dimensions
   /// every world via ExperimentConfig::apply_scale — the --scale axis.
   std::uint32_t scale = 0;
-  /// Force on-demand trace synthesis even below the apply_scale threshold
-  /// (streaming-vs-materialized digest-identity checks).
-  bool stream_trace = false;
   /// Tri-state defense override (the --trust on|off CLI axis). Unset leaves
   /// every scenario's own defense knobs alone (legacy behaviour, and what
   /// absent results.json keys round-trip to). `on` forces trust scoring

@@ -87,6 +87,57 @@ search::Scheme scheme_of(AlgoKind k) {
   return search::Scheme::kFlooding;
 }
 
+/// The fault config a run arms, if any. An explicit opts.faults arms the
+/// injector even at zero rates; otherwise only a non-zero cfg.faults does,
+/// so a default run builds nothing and keeps the historical digest.
+std::optional<faults::FaultConfig> armed_faults(const ExperimentConfig& cfg,
+                                                const RunOptions& opts) {
+  if (opts.faults.has_value()) return opts.faults;
+  if (cfg.faults.any()) return cfg.faults;
+  return std::nullopt;
+}
+
+/// Hardening and defense knobs ride the fault config, so a faults-off run
+/// keeps the legacy protocol behaviour bit for bit (0 = protocol default).
+void apply_fault_knobs(const faults::FaultConfig& fc, ads::AsapParams& p) {
+  if (fc.confirm_attempts > 0) p.confirm_max_attempts = fc.confirm_attempts;
+  if (fc.stale_strikes > 0) p.stale_timeout_strikes = fc.stale_strikes;
+  if (fc.confirm_backoff > 0.0) p.confirm_retry_backoff = fc.confirm_backoff;
+  if (fc.trust_enabled) {
+    p.trust_enabled = true;
+    p.trust_reward = fc.trust_reward;
+    p.trust_strike_decay = fc.trust_strike_decay;
+    p.trust_quarantine_threshold = fc.trust_quarantine_threshold;
+    p.trust_quarantine_backoff = fc.trust_quarantine_backoff;
+  }
+  if (fc.trust_fill_gate > 0.0) p.trust_fill_gate = fc.trust_fill_gate;
+  if (fc.strike_per_chain) p.strike_per_chain = true;
+  if (fc.pending_query_cap > 0) p.pending_query_cap = fc.pending_query_cap;
+  if (fc.ttl_clamp_depth > 0) p.ttl_clamp_depth = fc.ttl_clamp_depth;
+}
+
+/// ASAP's results beyond the common set: its event counters and the
+/// advertisement bytes of the measurement window.
+void finish_asap(const search::SearchAlgorithm& algo, RunResult& res) {
+  res.asap = true;
+  res.asap_counters = static_cast<const ads::AsapProtocol&>(algo).counters();
+  for (const auto& share : res.breakdown) {
+    switch (share.category) {
+      case sim::Traffic::kFullAd:
+      case sim::Traffic::kPatchAd:
+      case sim::Traffic::kRefreshAd:
+        res.ad_bytes_total += share.bytes;
+        break;
+      case sim::Traffic::kPackedAd:
+        res.ad_bytes_total += share.bytes;
+        res.ad_bytes_packed += share.bytes;
+        break;
+      default:
+        break;
+    }
+  }
+}
+
 }  // namespace
 
 search::BaselineParams default_baseline_params(AlgoKind k, Preset preset) {
@@ -114,6 +165,31 @@ ads::AsapParams default_asap_params(AlgoKind k, Preset preset) {
 }
 
 RunResult run_experiment(const World& world, AlgoKind kind,
+                         const RunOptions& opts) {
+  SystemSpec system;
+  system.name = algo_name(kind);
+  system.load_categories = load_categories(kind);
+  const Preset preset = world.cfg.preset;
+  if (!is_asap(kind)) {
+    const auto params =
+        opts.baseline.value_or(default_baseline_params(kind, preset));
+    system.make = [params](search::Ctx& ctx) {
+      return std::make_unique<search::BaselineSearch>(ctx, params);
+    };
+    return run_experiment(world, system, opts);
+  }
+  auto params = opts.asap.value_or(default_asap_params(kind, preset));
+  if (const auto fc = armed_faults(world.cfg, opts)) {
+    apply_fault_knobs(*fc, params);
+  }
+  system.make = [params](search::Ctx& ctx) {
+    return std::make_unique<ads::AsapProtocol>(ctx, params);
+  };
+  system.finish = finish_asap;
+  return run_experiment(world, system, opts);
+}
+
+RunResult run_experiment(const World& world, const SystemSpec& system,
                          const RunOptions& opts) {
   const auto wall_start = std::chrono::steady_clock::now();
   const auto& cfg = world.cfg;
@@ -158,76 +234,26 @@ RunResult run_experiment(const World& world, AlgoKind kind,
 
   // Fault layer: the plan derives from the world seed alone (same schedule
   // for every algorithm); the injector's own verdict RNG is salted per
-  // trial like the algorithm stream. Without an explicit opts.faults and
-  // with an all-zero cfg.faults, nothing is built and the run is
-  // bit-identical to the historical harness.
-  const bool faults_on = opts.faults.has_value() || cfg.faults.any();
-  const faults::FaultConfig fault_cfg = opts.faults.value_or(cfg.faults);
+  // trial like the algorithm stream. The planner takes the churn bitmap
+  // the world's build pass recorded.
+  const std::optional<faults::FaultConfig> fault_cfg = armed_faults(cfg, opts);
   std::unique_ptr<faults::FaultPlan> plan;
   std::unique_ptr<faults::FaultInjector> injector;
-  if (faults_on) {
-    fault_cfg.validate();
-    // Streaming worlds never hold the events vector; the build pre-pass
-    // recorded the churn bitmap the planner needs instead.
-    plan = std::make_unique<faults::FaultPlan>(
-        world.streaming.enabled
-            ? faults::FaultPlan::build(
-                  fault_cfg, cfg.seed, world.model.params().initial_nodes,
-                  std::span<const std::uint8_t>(world.streaming.churned),
-                  warmup, warmup + world.trace.horizon,
-                  world.phys.params().total_stub_domains())
-            : faults::FaultPlan::build(
-                  fault_cfg, cfg.seed, world.model.params().initial_nodes,
-                  world.trace.events, warmup, warmup + world.trace.horizon,
-                  world.phys.params().total_stub_domains()));
+  if (fault_cfg) {
+    fault_cfg->validate();
+    plan = std::make_unique<faults::FaultPlan>(faults::FaultPlan::build(
+        *fault_cfg, cfg.seed, world.model.params().initial_nodes,
+        std::span<const std::uint8_t>(world.streaming.churned), warmup,
+        warmup + world.trace.horizon,
+        world.phys.params().total_stub_domains()));
     injector = std::make_unique<faults::FaultInjector>(
         *plan, world.phys, cfg.seed ^ 0x9E3779B97F4A7C15ULL ^ opts.seed_salt);
     ctx.faults = injector.get();
   }
 
-  std::unique_ptr<search::SearchAlgorithm> algo;
-  if (is_asap(kind)) {
-    auto params = opts.asap.value_or(default_asap_params(kind, cfg.preset));
-    if (faults_on) {
-      // Hardening knobs ride the fault config so a faults-off run keeps
-      // the legacy protocol behaviour bit for bit (0 = protocol default).
-      if (fault_cfg.confirm_attempts > 0) {
-        params.confirm_max_attempts = fault_cfg.confirm_attempts;
-      }
-      if (fault_cfg.stale_strikes > 0) {
-        params.stale_timeout_strikes = fault_cfg.stale_strikes;
-      }
-      if (fault_cfg.confirm_backoff > 0.0) {
-        params.confirm_retry_backoff = fault_cfg.confirm_backoff;
-      }
-      // Defense knobs (PR: adversarial resilience). Same contract as the
-      // hardening knobs above: all-default means bit-identical runs.
-      if (fault_cfg.trust_enabled) {
-        params.trust_enabled = true;
-        params.trust_reward = fault_cfg.trust_reward;
-        params.trust_strike_decay = fault_cfg.trust_strike_decay;
-        params.trust_quarantine_threshold =
-            fault_cfg.trust_quarantine_threshold;
-        params.trust_quarantine_backoff = fault_cfg.trust_quarantine_backoff;
-      }
-      if (fault_cfg.trust_fill_gate > 0.0) {
-        params.trust_fill_gate = fault_cfg.trust_fill_gate;
-      }
-      if (fault_cfg.strike_per_chain) params.strike_per_chain = true;
-      if (fault_cfg.pending_query_cap > 0) {
-        params.pending_query_cap = fault_cfg.pending_query_cap;
-      }
-      if (fault_cfg.ttl_clamp_depth > 0) {
-        params.ttl_clamp_depth = fault_cfg.ttl_clamp_depth;
-      }
-    }
-    algo = std::make_unique<ads::AsapProtocol>(ctx, params);
-  } else {
-    const auto params =
-        opts.baseline.value_or(default_baseline_params(kind, cfg.preset));
-    algo = std::make_unique<search::BaselineSearch>(ctx, params);
-  }
-  if (faults_on) {
+  const std::unique_ptr<search::SearchAlgorithm> algo = system.make(ctx);
+  ASAP_REQUIRE(algo != nullptr, "system factory returned no algorithm");
+  if (injector != nullptr) {
     algo->set_fault_onset(plan->first_fault_time());
     if (plan->storm_queries().empty()) {
       injector->arm(engine, ov, live, liveness, opts.observer);
@@ -259,23 +285,12 @@ RunResult run_experiment(const World& world, AlgoKind kind,
   engine.run_until(warmup);
 
   profiler.begin("query-replay", engine.executed());
-  // Event source: the materialized vector, or (streaming worlds) a
-  // replay-mode generator re-synthesizing the identical stream on demand
-  // against the immutable model.
-  std::optional<trace::StreamingTraceGenerator> stream;
-  if (world.streaming.enabled) {
-    stream.emplace(world.model, cfg.trace, world.streaming.rng,
-                   world.streaming.mint_base);
-  }
-  std::size_t event_cursor = 0;
-  auto next_event = [&](trace::TraceEvent& out) -> bool {
-    if (stream) return stream->next(out);
-    if (event_cursor >= world.trace.events.size()) return false;
-    out = world.trace.events[event_cursor++];
-    return true;
-  };
+  // The trace, re-synthesized on demand against the immutable model.
+  trace::StreamingTraceGenerator stream(world.model, cfg.trace,
+                                        world.streaming.rng,
+                                        world.streaming.mint_base);
   trace::TraceEvent ev;
-  while (next_event(ev)) {
+  while (stream.next(ev)) {
     const Seconds t = ev.time + warmup;
     engine.run_until(t);
 
@@ -313,7 +328,7 @@ RunResult run_experiment(const World& world, AlgoKind kind,
 
   // --- reduce -----------------------------------------------------------
   RunResult res;
-  res.algo = algo_name(kind);
+  res.algo = system.name;
   res.search = algo->stats();
   res.measure_start = warmup;
   res.measure_end = warmup + world.trace.horizon;
@@ -327,7 +342,7 @@ RunResult run_experiment(const World& world, AlgoKind kind,
   }
 
   const auto live_series = liveness.live_count_series(horizon);
-  const auto cats = load_categories(kind);
+  const auto& cats = system.load_categories;
   res.load = metrics::reduce_load(
       ledger, cats, live_series,
       static_cast<std::uint32_t>(res.measure_start),
@@ -335,26 +350,7 @@ RunResult run_experiment(const World& world, AlgoKind kind,
   res.breakdown = metrics::category_breakdown(
       ledger, cats, static_cast<std::uint32_t>(res.measure_start),
       static_cast<std::uint32_t>(std::ceil(res.measure_end)));
-  if (is_asap(kind)) {
-    res.asap_counters =
-        static_cast<ads::AsapProtocol*>(algo.get())->counters();
-    res.asap = true;
-    for (const auto& share : res.breakdown) {
-      switch (share.category) {
-        case sim::Traffic::kFullAd:
-        case sim::Traffic::kPatchAd:
-        case sim::Traffic::kRefreshAd:
-          res.ad_bytes_total += share.bytes;
-          break;
-        case sim::Traffic::kPackedAd:
-          res.ad_bytes_total += share.bytes;
-          res.ad_bytes_packed += share.bytes;
-          break;
-        default:
-          break;
-      }
-    }
-  }
+  if (system.finish) system.finish(*algo, res);
   if (injector != nullptr) {
     const auto& rep = injector->report();
     res.faults.enabled = true;
@@ -370,7 +366,7 @@ RunResult run_experiment(const World& world, AlgoKind kind,
     res.faults.successes_after_onset = res.search.successes_after_onset();
     res.faults.success_rate_after_onset =
         res.search.success_rate_after_onset();
-    res.faults.adversarial = fault_cfg.adversarial_or_defended();
+    res.faults.adversarial = fault_cfg->adversarial_or_defended();
     if (res.faults.adversarial) {
       res.faults.polluters = plan->polluters().size();
       res.faults.stale_advertisers = plan->stale_advertisers().size();

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -17,6 +18,7 @@
 #include "obs/observer.hpp"
 #include "obs/profiler.hpp"
 #include "search/baseline.hpp"
+#include "search/context.hpp"
 #include "sim/audit.hpp"
 #include "sim/bandwidth.hpp"
 
@@ -194,7 +196,26 @@ struct RunResult {
 search::BaselineParams default_baseline_params(AlgoKind k, Preset preset);
 ads::AsapParams default_asap_params(AlgoKind k, Preset preset);
 
-/// Replays the world's trace against one algorithm.
+/// Any system under test, built-in or not: the name its results carry, the
+/// traffic categories that count as its load (paper §V-B), and a factory
+/// that builds it over the run's context. `finish`, when set, reads
+/// system-specific results once the run is over, while the algorithm is
+/// still alive.
+struct SystemSpec {
+  std::string name;
+  std::vector<sim::Traffic> load_categories;
+  std::function<std::unique_ptr<search::SearchAlgorithm>(search::Ctx&)> make;
+  std::function<void(const search::SearchAlgorithm&, RunResult&)> finish;
+};
+
+/// Replays the world's trace against one system: warm-up, then every trace
+/// event in order (world update first — overlay churn, liveness, live
+/// content — then the algorithm), then the reduce. The one replay loop.
+RunResult run_experiment(const World& world, const SystemSpec& system,
+                         const RunOptions& opts = {});
+
+/// Replays the world's trace against one of the built-in algorithms
+/// (opts.baseline / opts.asap override their preset parameters).
 RunResult run_experiment(const World& world, AlgoKind kind,
                          const RunOptions& opts = {});
 

@@ -3,7 +3,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "trace/streaming_trace_gen.hpp"
-#include "trace/trace_gen.hpp"
 
 namespace asap::harness {
 
@@ -53,38 +52,32 @@ World build_world(const ExperimentConfig& cfg) {
     node_phys.assign(picks.begin(), picks.end());
   }
 
-  trace::Trace tr;
+  // Build pass: run the stream once in build mode so the model gains its
+  // mid-trace mints, recording only what a run needs to re-derive the
+  // identical stream — the pre-stream RNG state, the corpus position where
+  // mints begin, and the churn bitmap the fault planner wants. The events
+  // themselves are discarded; runs re-synthesize them on demand.
   StreamingTraceInfo streaming;
-  if (cfg.stream_trace) {
-    // Build pre-pass: run the stream once in build mode so the model gains
-    // its mid-trace mints, recording only what replay needs to re-derive
-    // the identical stream — the pre-stream RNG state, the corpus position
-    // where mints begin, and the churn bitmap the fault planner wants. The
-    // events themselves are discarded; runs re-synthesize them on demand.
-    streaming.enabled = true;
-    streaming.rng = trace_rng;
-    streaming.mint_base = static_cast<DocId>(model.num_docs());
-    streaming.churned.assign(model.params().initial_nodes, 0);
-    trace::StreamingTraceGenerator gen(model, cfg.trace, trace_rng);
-    trace::TraceEvent ev;
-    while (gen.next(ev)) {
-      if ((ev.type == trace::TraceEventType::kJoin ||
-           ev.type == trace::TraceEventType::kLeave ||
-           ev.type == trace::TraceEventType::kRejoin) &&
-          ev.node < model.params().initial_nodes) {
-        streaming.churned[ev.node] = 1;
-      }
+  streaming.rng = trace_rng;
+  streaming.mint_base = static_cast<DocId>(model.num_docs());
+  streaming.churned.assign(model.params().initial_nodes, 0);
+  trace::StreamingTraceGenerator gen(model, cfg.trace, trace_rng);
+  trace::TraceEvent ev;
+  while (gen.next(ev)) {
+    if ((ev.type == trace::TraceEventType::kJoin ||
+         ev.type == trace::TraceEventType::kLeave ||
+         ev.type == trace::TraceEventType::kRejoin) &&
+        ev.node < model.params().initial_nodes) {
+      streaming.churned[ev.node] = 1;
     }
-    tr.num_queries = gen.num_queries();
-    tr.num_changes = gen.num_changes();
-    tr.num_joins = gen.num_joins();
-    tr.num_leaves = gen.num_leaves();
-    tr.num_rejoins = gen.num_rejoins();
-    tr.horizon = gen.last_event_time();
-  } else {
-    trace::TraceGenerator gen(model, cfg.trace, trace_rng);
-    tr = gen.generate();
   }
+  trace::Trace tr;
+  tr.num_queries = gen.num_queries();
+  tr.num_changes = gen.num_changes();
+  tr.num_joins = gen.num_joins();
+  tr.num_leaves = gen.num_leaves();
+  tr.num_rejoins = gen.num_rejoins();
+  tr.horizon = gen.last_event_time();
 
   return World{cfg,
                std::move(phys),

@@ -20,12 +20,12 @@
 namespace asap::harness {
 
 /// Everything a run needs to re-synthesize the trace event stream on
-/// demand (cfg.stream_trace): the trace-stream RNG's initial state, the
-/// corpus position where mid-trace mints begin, and the churn bitmap the
-/// fault planner would otherwise reduce from the events vector. With this,
-/// World::trace keeps only the counters and horizon — events stays empty.
+/// demand: the trace-stream RNG's initial state, the corpus position where
+/// mid-trace mints begin, and the churn bitmap the fault planner needs.
+/// World::trace keeps only the counters and horizon.
 struct StreamingTraceInfo {
-  bool enabled = false;
+  /// Always true. Kept only because perfbench/probes.cpp still reads it.
+  bool enabled = true;
   Rng rng{0};
   DocId mint_base = 0;
   /// churned[n] != 0 iff the trace joins/leaves/rejoins initial node n.

@@ -28,25 +28,26 @@ json::Object CounterRegistry::snapshot() const {
                             json::Value(category_to_json(categories_[i])));
   }
 
-  json::Object ads;
-  ads.emplace_back("stored", json::Value(n(totals_.ads_stored)));
-  ads.emplace_back("evicted", json::Value(n(totals_.ads_evicted)));
-  ads.emplace_back("invalidated", json::Value(n(totals_.ads_invalidated)));
-
-  json::Object confirms;
-  confirms.emplace_back("sent", json::Value(n(totals_.confirms_sent)));
-  confirms.emplace_back("positive", json::Value(n(totals_.confirms_positive)));
-  confirms.emplace_back("timed_out",
-                        json::Value(n(totals_.confirms_timed_out)));
-  confirms.emplace_back("retries", json::Value(n(totals_.confirm_retries)));
-
-  json::Object faults;
-  faults.emplace_back("injected", json::Value(n(faults_injected_)));
-  faults.emplace_back("stale_evictions",
-                      json::Value(n(totals_.stale_evictions)));
-  faults.emplace_back("trust_strikes", json::Value(n(totals_.trust_strikes)));
-  faults.emplace_back("quarantines", json::Value(n(totals_.quarantines)));
-  faults.emplace_back("queries_shed", json::Value(n(totals_.queries_shed)));
+  // Fixed-key objects are built from initializer lists: emplace_back into
+  // an empty Object trips a GCC 12 -Warray-bounds false positive here.
+  json::Object ads{
+      {"stored", n(totals_.ads_stored)},
+      {"evicted", n(totals_.ads_evicted)},
+      {"invalidated", n(totals_.ads_invalidated)},
+  };
+  json::Object confirms{
+      {"sent", n(totals_.confirms_sent)},
+      {"positive", n(totals_.confirms_positive)},
+      {"timed_out", n(totals_.confirms_timed_out)},
+      {"retries", n(totals_.confirm_retries)},
+  };
+  json::Object faults{
+      {"injected", n(faults_injected_)},
+      {"stale_evictions", n(totals_.stale_evictions)},
+      {"trust_strikes", n(totals_.trust_strikes)},
+      {"quarantines", n(totals_.quarantines)},
+      {"queries_shed", n(totals_.queries_shed)},
+  };
 
   json::Object out;
   out.emplace_back("categories", json::Value(std::move(categories)));

@@ -40,7 +40,7 @@ StreamingTraceGenerator::StreamingTraceGenerator(const ContentModel& model,
   ASAP_REQUIRE(params.rejoin_fraction == 0.0 || params.mean_offline > 0.0,
                "mean offline duration must be positive");
 
-  // Legacy phase A: the query-arrival Poisson process. Only the horizon is
+  // Phase A: the query-arrival Poisson process. Only the horizon is
   // kept; individual times are re-derived from qt_rng_ (a pre-drain copy)
   // as the walk reaches them.
   Seconds clock = 0.0;
@@ -49,7 +49,7 @@ StreamingTraceGenerator::StreamingTraceGenerator(const ContentModel& model,
   }
   const Seconds horizon = clock;
 
-  // Legacy phase B: churn times, uniform over the active part of the trace
+  // Phase B: churn times, uniform over the active part of the trace
   // (skip the very beginning so the initial population handles the first
   // queries).
   churn_.reserve(params_.joins + params_.leaves);

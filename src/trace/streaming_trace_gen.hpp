@@ -1,30 +1,41 @@
-// Streaming twin of TraceGenerator (paper §IV-B steps 4-6).
+// Synthetic query-trace generator (paper §IV-B steps 4-6).
 //
-// Synthesizes the exact event stream TraceGenerator materializes — bit-
-// identical for a given RNG state — but on demand, one event per next()
-// call, so a run never holds an O(events) vector. Resident state is
+// Produces a time-stamped event stream, one event per next() call, with:
+//   * `num_queries` search requests at Poisson(λ) arrival times, each
+//     guaranteed to have at least one live matching document at issue time
+//     (§V-A: "all the search requests are created such that there is at
+//     least one matching document existing in the system"),
+//   * a content change (add/remove) right after `content_change_fraction`
+//     of the queries,
+//   * `joins` node-join and `leaves` node-departure events at uniformly
+//     random trace positions, and rejoins of a fraction of the leavers,
+//   * requesters only ask for documents in classes they are interested in
+//     ("a peer only asks for interesting documents").
+//
+// The generator tracks live state internally, so the trace is consistent
+// by construction, and never holds an O(events) vector. Resident state is
 // O(live nodes + documents): the live-content mirror, the per-class
 // instance pools, the online pool and the churn schedule.
 //
-// The RNG discipline that makes lazy arrival times possible: the legacy
-// generator draws every query-arrival exponential first, then the churn
-// uniforms, then the per-event walk draws. The streaming ctor replays that
-// prefix — it drains the arrival exponentials from the main stream
-// (keeping only the horizon), having first saved a pre-drain RNG copy from
-// which each arrival time is re-derived on demand, then draws the
-// O(joins + leaves) churn schedule. Walk draws continue from the main
-// stream, so after exhaustion rng_state() equals the legacy generator's
-// final RNG state exactly.
+// The RNG discipline that makes lazy arrival times possible: the stream is
+// defined as every query-arrival exponential first, then the churn
+// uniforms, then the per-event walk draws. The ctor drains the arrival
+// exponentials from the main stream (keeping only the horizon), having
+// first saved a pre-drain RNG copy from which each arrival time is
+// re-derived on demand, then draws the O(joins + leaves) churn schedule.
+// Walk draws continue from the main stream.
 //
 // Two modes:
 //   * build mode mutates the ContentModel — mid-trace document additions
-//     mint brand-new documents, exactly like the legacy generator;
+//     mint brand-new documents;
 //   * replay mode re-runs a previously built stream against a *const*
 //     model whose corpus already holds those mints, appended in stream
 //     order starting at `mint_base`. Each replayed mint consumes the same
 //     RNG draws (ContentModel::replay_mint_draws) and resolves to the next
 //     sequential pre-minted id, keeping the event stream bit-identical
 //     while many replay runs share one immutable model.
+//
+// harness::build_world runs build mode once; every run replays.
 #pragma once
 
 #include <array>
@@ -52,15 +63,14 @@ class StreamingTraceGenerator {
   /// Produces the next event; false once the stream is exhausted.
   bool next(TraceEvent& out);
 
-  /// The walk RNG. After exhaustion this is bit-identical to the state the
-  /// legacy generator leaves in its caller's RNG.
+  /// The walk RNG (the stream's final state once exhausted).
   const Rng& rng_state() const { return rng_; }
 
-  /// Time of the most recent event (the legacy Trace::horizon once the
-  /// stream is exhausted; 0.0 before the first event).
+  /// Time of the most recent event (the trace horizon once the stream is
+  /// exhausted; 0.0 before the first event).
   Seconds last_event_time() const { return last_event_time_; }
 
-  // Event counters so far (match the legacy Trace totals at exhaustion).
+  // Event counters so far.
   std::uint32_t num_queries() const { return queries_; }
   std::uint32_t num_changes() const { return changes_; }
   std::uint32_t num_joins() const { return joins_; }
@@ -91,8 +101,8 @@ class StreamingTraceGenerator {
                           const TraceParams& params, const Rng& rng,
                           DocId mint_base);
 
-  /// Runs one legacy main-loop iteration (churn + rejoins + query +
-  /// optional content change), buffering the events it produces.
+  /// Runs one arrival step (churn + rejoins + query + optional content
+  /// change), buffering the events it produces.
   void step();
 
   void emit(TraceEvent ev);

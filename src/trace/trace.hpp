@@ -1,6 +1,6 @@
 // Trace event model (paper §IV-B).
 //
-// A trace is a time-ordered list of external events fed to every system
+// A trace is a time-ordered stream of external events fed to every system
 // under test: search requests (Poisson arrivals, λ=8/s), content changes
 // (10% of requests are followed by a document addition or removal), and
 // churn (node joins and departures at random positions in the trace).
@@ -40,7 +40,11 @@ struct TraceEvent {
   }
 };
 
+/// Summary of a generated trace. The events themselves are never stored:
+/// runs re-synthesize them on demand (trace/streaming_trace_gen.hpp).
 struct Trace {
+  /// Always empty. Kept only because perfbench/probes.cpp still names it
+  /// in a branch that no world takes.
   std::vector<TraceEvent> events;
   Seconds horizon = 0.0;  // time of the last event
   std::uint32_t num_queries = 0;

@@ -134,14 +134,12 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, AsapSchemeTest,
                          ::testing::Values(search::Scheme::kFlooding,
                                            search::Scheme::kRandomWalk,
                                            search::Scheme::kGsa),
-                         [](const auto& info) {
-                           return std::string(
-                               search::scheme_name(info.param)) == "flooding"
-                                      ? "FLD"
-                                      : search::scheme_name(info.param) ==
-                                                std::string("random-walk")
-                                            ? "RW"
-                                            : "GSA";
+                         [](const auto& param_info) {
+                           const std::string name =
+                               search::scheme_name(param_info.param);
+                           return name == "flooding"      ? "FLD"
+                                  : name == "random-walk" ? "RW"
+                                                          : "GSA";
                          });
 
 }  // namespace

@@ -49,7 +49,9 @@ TEST(SuperpeerAsap, HierarchyCoversEveryNode) {
     const NodeId proxy = algo.proxy_of(n);
     ASSERT_NE(proxy, kInvalidNode) << "node " << n << " has no proxy";
     EXPECT_TRUE(algo.is_superpeer(proxy));
-    if (algo.is_superpeer(n)) EXPECT_EQ(proxy, n);
+    if (algo.is_superpeer(n)) {
+      EXPECT_EQ(proxy, n);
+    }
   }
 }
 

@@ -140,6 +140,28 @@ TEST(FaultScenarioJson, AbsentKeysKeepDefaultsAndBadValuesThrow) {
   EXPECT_THROW(scenario_from_json(json::Value(std::move(bad))), ConfigError);
 }
 
+TEST(FaultScenarioJson, UnknownKeyIsRejectedByName) {
+  // A misspelt key must not silently run the default: "stroms" would
+  // otherwise leave a crash-only scenario without its storm.
+  json::Object o;
+  o.emplace_back("name", "typo");
+  o.emplace_back("crash_fraction", 0.05);
+  o.emplace_back("stroms", 2.0);
+  try {
+    scenario_from_json(json::Value(std::move(o)));
+    ADD_FAILURE() << "unknown key \"stroms\" was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("stroms"), std::string::npos)
+        << "error does not name the key: " << e.what();
+  }
+
+  // Every key the writer emits is one the reader knows.
+  FaultScenario full = fault_preset("churn");
+  full.config.storms = 1;
+  full.config.trust_enabled = true;
+  EXPECT_NO_THROW(scenario_from_json(scenario_to_json(full)));
+}
+
 TEST(FaultScenarioJson, CountFieldsRejectNegativeFractionalAndOversizedValues) {
   // A cast from double would load -1 as 4294967295 storm episodes, 2.7
   // partitions as 2 and 1e12 phantom bits as 3567587328; each must be

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <set>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "harness/world.hpp"
+#include "trace/content_model.hpp"
+#include "trace/streaming_trace_gen.hpp"
 
 namespace asap::faults {
 namespace {
@@ -14,8 +21,41 @@ constexpr std::uint32_t kNodes = 200;
 constexpr std::uint32_t kDomains = 12;
 
 FaultPlan build(const FaultConfig& cfg, std::uint64_t seed = 7,
-                std::span<const trace::TraceEvent> events = {}) {
-  return FaultPlan::build(cfg, seed, kNodes, events, kStart, kEnd, kDomains);
+                std::vector<std::uint8_t> churned = {}) {
+  churned.resize(kNodes, 0);
+  return FaultPlan::build(cfg, seed, kNodes,
+                          std::span<const std::uint8_t>(churned), kStart,
+                          kEnd, kDomains);
+}
+
+/// Marks every initial node a trace event joins, leaves or rejoins.
+void mark_churn(const trace::TraceEvent& ev,
+                std::vector<std::uint8_t>& churned) {
+  if ((ev.type == trace::TraceEventType::kJoin ||
+       ev.type == trace::TraceEventType::kLeave ||
+       ev.type == trace::TraceEventType::kRejoin) &&
+      ev.node < churned.size()) {
+    churned[ev.node] = 1;
+  }
+}
+
+/// Churn bitmap of a real trace: drains a churn-heavy build-mode stream
+/// over a kNodes-peer content model.
+std::vector<std::uint8_t> churned_by_stream() {
+  trace::ContentModelParams mp;
+  mp.initial_nodes = kNodes;
+  mp.joiner_nodes = 20;
+  Rng content_rng(11);
+  auto model = trace::ContentModel::build(mp, content_rng);
+  trace::TraceParams tp;
+  tp.num_queries = 400;
+  tp.joins = 20;
+  tp.leaves = 60;
+  trace::StreamingTraceGenerator gen(model, tp, Rng(12));
+  std::vector<std::uint8_t> churned(kNodes, 0);
+  trace::TraceEvent ev;
+  while (gen.next(ev)) mark_churn(ev, churned);
+  return churned;
 }
 
 TEST(FaultPlan, ZeroConfigCompilesToEmptyPlan) {
@@ -68,24 +108,18 @@ TEST(FaultPlan, CrashesMatchFractionAndStayInWindow) {
 }
 
 TEST(FaultPlan, TraceChurnedNodesAreNeverCrashCandidates) {
-  // Churn the first half of the population via every churn event type; a
-  // 100% crash fraction must then only pick from the untouched half.
-  std::vector<trace::TraceEvent> events;
-  for (NodeId n = 0; n < kNodes / 2; ++n) {
-    trace::TraceEvent ev;
-    ev.time = 1.0 * n;
-    ev.type = n % 3 == 0   ? trace::TraceEventType::kJoin
-              : n % 3 == 1 ? trace::TraceEventType::kLeave
-                           : trace::TraceEventType::kRejoin;
-    ev.node = n;
-    events.push_back(ev);
-  }
+  // A 100% crash fraction must pick exactly the nodes the trace leaves
+  // alone.
+  const auto churned = churned_by_stream();
+  const auto num_churned = static_cast<std::size_t>(
+      std::count(churned.begin(), churned.end(), std::uint8_t{1}));
+  ASSERT_GT(num_churned, 0u);
   FaultConfig cfg;
   cfg.crash_fraction = 1.0;
-  const FaultPlan plan = build(cfg, 7, events);
-  EXPECT_EQ(plan.crashes().size(), kNodes / 2);
+  const FaultPlan plan = build(cfg, 7, churned);
+  EXPECT_EQ(plan.crashes().size(), kNodes - num_churned);
   for (const auto& c : plan.crashes()) {
-    EXPECT_GE(c.node, kNodes / 2) << "crash collides with trace churn";
+    EXPECT_FALSE(churned[c.node]) << "crash collides with trace churn";
   }
 }
 
@@ -215,44 +249,42 @@ TEST(FaultPlanAdversarial, ArmingRolesNeverPerturbsCrashSchedule) {
 }
 
 TEST(FaultPlanAdversarial, ChurnedNodesNeverGetRoles) {
-  // Churn the first half of the population; every role must come from the
-  // untouched half (same exclusion rule as crash candidates).
-  std::vector<trace::TraceEvent> events;
-  for (NodeId n = 0; n < kNodes / 2; ++n) {
-    trace::TraceEvent ev;
-    ev.time = 1.0 * n;
-    ev.type = n % 3 == 0   ? trace::TraceEventType::kJoin
-              : n % 3 == 1 ? trace::TraceEventType::kLeave
-                           : trace::TraceEventType::kRejoin;
-    ev.node = n;
-    events.push_back(ev);
-  }
-  const FaultPlan plan = build(byzantine_cfg(), 7, events);
+  // Every role must come from the nodes the trace leaves alone (same
+  // exclusion rule as crash candidates).
+  const auto churned = churned_by_stream();
+  const FaultPlan plan = build(byzantine_cfg(), 7, churned);
   for (const auto roster : {&plan.polluters(), &plan.stale_advertisers(),
                             &plan.confirm_droppers()}) {
+    EXPECT_FALSE(roster->empty());
     for (NodeId n : *roster) {
-      EXPECT_GE(n, kNodes / 2) << "role assigned to a trace-churned node";
+      EXPECT_FALSE(churned[n]) << "role assigned to a trace-churned node";
     }
   }
 }
 
 TEST(FaultPlanAdversarial, EventSpanAndChurnBitmapBuildsAgree) {
-  // Streaming worlds hand the plan a churn bitmap instead of the events
-  // vector; both overloads must compile to the identical roster.
-  std::vector<trace::TraceEvent> events;
-  std::vector<std::uint8_t> churned(kNodes, 0);
-  for (NodeId n = 0; n < kNodes; n += 3) {
-    trace::TraceEvent ev;
-    ev.time = 1.0 * n;
-    ev.type = trace::TraceEventType::kLeave;
-    ev.node = n;
-    events.push_back(ev);
-    churned[n] = 1;
-  }
-  const FaultPlan a = build(byzantine_cfg(), 7, events);
-  const FaultPlan b = FaultPlan::build(
-      byzantine_cfg(), 7, kNodes, std::span<const std::uint8_t>(churned),
-      kStart, kEnd, kDomains);
+  // A run hands the planner the churn bitmap its world's build pass
+  // recorded, then replays the stream. The bitmap reduced from the
+  // replayed events must be that same set, so both build the same plan.
+  auto cfg = harness::ExperimentConfig::make(harness::Preset::kSmall,
+                                             harness::TopologyKind::kCrawled,
+                                             5);
+  cfg.content.initial_nodes = kNodes;
+  cfg.content.joiner_nodes = 20;
+  cfg.trace.num_queries = 400;
+  cfg.trace.joins = 20;
+  cfg.trace.leaves = 60;
+  const auto world = harness::build_world(cfg);
+  std::vector<std::uint8_t> replayed(kNodes, 0);
+  trace::StreamingTraceGenerator gen(world.model, cfg.trace,
+                                     world.streaming.rng,
+                                     world.streaming.mint_base);
+  trace::TraceEvent ev;
+  while (gen.next(ev)) mark_churn(ev, replayed);
+  EXPECT_EQ(replayed, world.streaming.churned);
+
+  const FaultPlan a = build(byzantine_cfg(), 7, replayed);
+  const FaultPlan b = build(byzantine_cfg(), 7, world.streaming.churned);
   EXPECT_EQ(a.polluters(), b.polluters());
   EXPECT_EQ(a.stale_advertisers(), b.stale_advertisers());
   EXPECT_EQ(a.confirm_droppers(), b.confirm_droppers());

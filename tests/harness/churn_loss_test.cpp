@@ -2,6 +2,9 @@
 // replay pipeline.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "harness/replay.hpp"
 #include "harness/world.hpp"
 
@@ -53,6 +56,46 @@ TEST_F(ChurnLossTest, RejoinsReattachOverlayNodes) {
   // the baseline must keep finding content that left and came back.
   const auto res = run_experiment(*world_, AlgoKind::kFlooding);
   EXPECT_GT(res.search.success_rate(), 0.6);
+}
+
+/// A system outside the built-in set that checks, at every rejoin it is
+/// handed, that the replay already reattached the peer.
+class RejoinProbe final : public search::SearchAlgorithm {
+ public:
+  explicit RejoinProbe(search::Ctx& ctx) : ctx_(ctx) {}
+  std::string name() const override { return "rejoin-probe"; }
+  void on_trace_event(const trace::TraceEvent& ev) override {
+    if (ev.type != trace::TraceEventType::kRejoin) return;
+    ++rejoins;
+    if (ctx_.ov.attached(ev.node) && ctx_.ov.degree(ev.node) > 0 &&
+        ctx_.online(ev.node)) {
+      ++attached;
+    }
+  }
+  std::uint32_t rejoins = 0;
+  std::uint32_t attached = 0;
+
+ private:
+  search::Ctx& ctx_;
+};
+
+TEST_F(ChurnLossTest, CustomSystemSeesRejoinedPeersAttached) {
+  std::uint32_t rejoins = 0;
+  std::uint32_t attached = 0;
+  const SystemSpec probe{
+      "rejoin-probe",
+      {sim::Traffic::kQuery},
+      [](search::Ctx& ctx) { return std::make_unique<RejoinProbe>(ctx); },
+      [&](const search::SearchAlgorithm& algo, RunResult&) {
+        const auto& p = static_cast<const RejoinProbe&>(algo);
+        rejoins = p.rejoins;
+        attached = p.attached;
+      }};
+  run_experiment(*world_, probe);
+  EXPECT_EQ(rejoins, world_->trace.num_rejoins);
+  EXPECT_GT(rejoins, 0u);
+  EXPECT_EQ(attached, rejoins) << "a rejoined peer reached the system "
+                                  "before the overlay reattached it";
 }
 
 TEST_F(ChurnLossTest, LossDegradesFloodingMoreThanAsap) {

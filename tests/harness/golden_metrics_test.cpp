@@ -10,8 +10,10 @@
 // When a change is *intentional*, refresh the baseline and commit it
 // (EXPERIMENTS.md, "Matrix runner" section):
 //
-//   build/tools/asap_sim --matrix --preset small --topology crawled \
+//   build/tools/asap_sim --matrix --preset small --topology crawled
 //     --algo all --seed 42 --trials 1 --json tests/support/golden_small.json
+//
+// (one command line; wrapped here for width).
 #include <gtest/gtest.h>
 
 #include <cmath>

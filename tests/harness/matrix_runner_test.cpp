@@ -179,16 +179,17 @@ TEST(MatrixRunner, SpecJsonRejectsCountsThatAreNotUint32) {
   // oversized value must be rejected naming the key, not wrapped or
   // truncated by a cast.
   const auto spec_with = [](const char* key, double value) {
-    json::Object spec;
-    spec.emplace_back("preset", "small");
-    spec.emplace_back("topologies", json::Array{json::Value("crawled")});
-    spec.emplace_back("algos", json::Array{json::Value("flooding")});
-    spec.emplace_back("seed", json::hex_u64(7));
-    spec.emplace_back("trials", 2);
-    spec.emplace_back("queries", 0);
-    spec.emplace_back("message_loss", 0.0);
-    spec.emplace_back("audit", false);
-    spec.emplace_back("scale", 0);
+    json::Object spec{
+        {"preset", "small"},
+        {"topologies", json::Array{json::Value("crawled")}},
+        {"algos", json::Array{json::Value("flooding")}},
+        {"seed", json::hex_u64(7)},
+        {"trials", 2},
+        {"queries", 0},
+        {"message_loss", 0.0},
+        {"audit", false},
+        {"scale", 0},
+    };
     for (auto& [k, v] : spec) {
       if (k == key) v = json::Value(value);
     }

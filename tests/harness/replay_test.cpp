@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "faults/fault_config.hpp"
 #include "harness/world.hpp"
 
 namespace asap::harness {
@@ -126,6 +129,32 @@ TEST_F(ReplayTest, OverridesAreHonored) {
   EXPECT_EQ(without.asap_counters.ads_requests, 0u);
   EXPECT_GT(with.asap_counters.ads_requests, 0u);
   EXPECT_LE(without.search.success_rate(), with.search.success_rate());
+}
+
+TEST_F(ReplayTest, FactoryBuiltBaselineDigestsLikeTheBuiltIn) {
+  // The AlgoKind entry point is one caller of the SystemSpec one: a
+  // hand-built flooding spec must run the identical simulation, with the
+  // fault layer armed and off.
+  const SystemSpec flooding{
+      "flooding", load_categories(AlgoKind::kFlooding),
+      [](search::Ctx& ctx) {
+        return std::make_unique<search::BaselineSearch>(
+            ctx, default_baseline_params(AlgoKind::kFlooding, Preset::kSmall));
+      },
+      {}};
+  RunOptions churn;
+  churn.faults = faults::fault_preset("churn").config;
+  for (const RunOptions& opts : {RunOptions{}, churn}) {
+    const auto custom = run_experiment(*world_, flooding, opts);
+    const auto builtin = run_experiment(*world_, AlgoKind::kFlooding, opts);
+    EXPECT_EQ(custom.digest, builtin.digest);
+    EXPECT_EQ(custom.algo, builtin.algo);
+    EXPECT_EQ(custom.search.total(), builtin.search.total());
+    EXPECT_EQ(custom.search.success_rate(), builtin.search.success_rate());
+    EXPECT_EQ(custom.load.mean_bytes_per_node_per_sec,
+              builtin.load.mean_bytes_per_node_per_sec);
+    EXPECT_EQ(custom.faults.crashes, builtin.faults.crashes);
+  }
 }
 
 TEST(ReplayHelpers, AlgoNamesAndCategories) {

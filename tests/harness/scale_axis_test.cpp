@@ -1,9 +1,9 @@
 // The --scale axis (DESIGN.md §15): apply_scale() re-dimensioning rules,
-// spec round-trip of the scale / stream_trace keys through results.json
-// (including absent-key defaults for pre-scale documents), and the load-
-// bearing digest identity — a matrix run with on-demand trace synthesis is
-// bit-identical to the same matrix with materialized traces, with faults
-// armed and off.
+// spec round-trip of the scale key through results.json (including absent-
+// key defaults for pre-scale documents), and the load-bearing digest
+// identity — runs replaying the on-demand trace stream digest exactly as
+// the same matrix did on materialized traces (pins recorded before the
+// materialized path was deleted), with faults armed and off.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -51,23 +51,15 @@ TEST(ApplyScale, RedimensionsEveryCoupledKnob) {
   const auto slots = static_cast<std::uint64_t>(cfg.phys.total_stub_domains()) *
                      cfg.phys.stub_nodes_per_domain;
   EXPECT_GE(slots, 55'000u);
-  EXPECT_FALSE(cfg.stream_trace) << "below the auto-streaming threshold";
 
-  cfg.apply_scale(100'000);
-  EXPECT_TRUE(cfg.stream_trace) << "large worlds stream by default";
-}
-
-TEST(ApplyScale, SmallScaleKeepsMaterializedTraces) {
-  auto cfg = ExperimentConfig::make(Preset::kSmall, TopologyKind::kCrawled, 1);
   cfg.apply_scale(10'000);
+  EXPECT_EQ(cfg.scale, 10'000u);
   EXPECT_EQ(cfg.content.initial_nodes, 10'000u);
-  EXPECT_FALSE(cfg.stream_trace);
 }
 
 TEST(ScaleAxis, SpecRoundTripsThroughResultsJson) {
   auto spec = tiny_spec();
   spec.algos = {AlgoKind::kFlooding};
-  spec.stream_trace = true;
   // A scale override would fight the shrink tweak; exercise it purely on
   // the serialization path by patching the recorded spec.
   auto result = run_matrix(spec);
@@ -76,12 +68,11 @@ TEST(ScaleAxis, SpecRoundTripsThroughResultsJson) {
   const auto doc = json::parse(json::dump(results_to_json(result)));
   const auto parsed = spec_from_json(doc);
   EXPECT_EQ(parsed.scale, 250'000u);
-  EXPECT_TRUE(parsed.stream_trace);
 }
 
 TEST(ScaleAxis, PreScaleDocumentsParseWithDefaults) {
-  // results.json written before the scale axis existed carries neither
-  // key; spec_from_json must default them, not throw.
+  // results.json written before the scale axis existed carries no scale
+  // key; spec_from_json must default it, not throw.
   auto spec = tiny_spec();
   spec.algos = {AlgoKind::kFlooding};
   const auto result = run_matrix(spec);
@@ -90,12 +81,11 @@ TEST(ScaleAxis, PreScaleDocumentsParseWithDefaults) {
     if (key != "spec") continue;
     auto& spec_obj = value.as_object();
     std::erase_if(spec_obj, [](const auto& kv) {
-      return kv.first == "scale" || kv.first == "stream_trace";
+      return kv.first == "scale";
     });
   }
   const auto parsed = spec_from_json(json::parse(json::dump(doc)));
   EXPECT_EQ(parsed.scale, 0u);
-  EXPECT_FALSE(parsed.stream_trace);
 }
 
 TEST(ScaleAxis, TrialRunsCarryThroughputInstrumentation) {
@@ -121,54 +111,47 @@ TEST(ScaleAxis, TrialRunsCarryThroughputInstrumentation) {
 
 TEST(ScaleAxis, StreamingMatrixIsBitIdenticalToMaterialized) {
   // The headline determinism claim behind streaming synthesis: the same
-  // matrix — several algorithms, faults off — digests identically whether
-  // traces are materialized up front or synthesized on demand.
-  auto spec = tiny_spec();
-  const auto materialized = run_matrix(spec);
-  spec.stream_trace = true;
-  const auto streamed = run_matrix(spec);
-
-  ASSERT_EQ(materialized.trials.size(), streamed.trials.size());
-  for (std::size_t i = 0; i < materialized.trials.size(); ++i) {
-    EXPECT_EQ(materialized.trials[i].result.digest,
-              streamed.trials[i].result.digest)
-        << algo_name(materialized.trials[i].algo);
-    EXPECT_EQ(materialized.trials[i].result.engine_events,
-              streamed.trials[i].result.engine_events);
+  // matrix — several algorithms, faults off — digests exactly as it did on
+  // materialized traces.
+  const auto result = run_matrix(tiny_spec());
+  const std::uint64_t want[] = {0x0b86a594b9b440a6ULL, 0x418dccbcffe687b2ULL,
+                                0x4d991b53af0eb8d7ULL};
+  const std::uint64_t want_events[] = {0, 0, 381};
+  ASSERT_EQ(result.trials.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(result.trials[i].result.digest, want[i])
+        << algo_name(result.trials[i].algo);
+    EXPECT_EQ(result.trials[i].result.engine_events, want_events[i]);
   }
-  EXPECT_EQ(materialized.matrix_digest, streamed.matrix_digest);
-  EXPECT_NE(materialized.matrix_digest, 0u);
+  EXPECT_EQ(result.matrix_digest, 0xba405badd9ac0772ULL);
 }
 
 TEST(ScaleAxis, StreamingIsBitIdenticalUnderFaults) {
-  // The fault planner consumes the world's churn set; streaming worlds
-  // hand it a bitmap instead of a materialized event span. Same plan,
-  // same digests.
+  // The fault planner consumes the churn bitmap the world's build pass
+  // recorded; the plan, and so the digests, match the materialized runs.
   auto spec = tiny_spec();
   spec.algos = {AlgoKind::kAsapRw};
   spec.fault_scenarios = {faults::FaultScenario{}, faults::fault_preset("churn")};
-  const auto materialized = run_matrix(spec);
-  spec.stream_trace = true;
-  const auto streamed = run_matrix(spec);
-  ASSERT_EQ(materialized.trials.size(), 2u);
-  ASSERT_EQ(streamed.trials.size(), 2u);
+  const auto result = run_matrix(spec);
+  const std::uint64_t want[] = {0x4d991b53af0eb8d7ULL, 0x5166fb5cc50c303fULL};
+  ASSERT_EQ(result.trials.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(materialized.trials[i].result.digest,
-              streamed.trials[i].result.digest)
-        << materialized.trials[i].scenario;
+    EXPECT_EQ(result.trials[i].result.digest, want[i])
+        << result.trials[i].scenario;
   }
-  EXPECT_EQ(materialized.matrix_digest, streamed.matrix_digest);
+  EXPECT_EQ(result.matrix_digest, 0xf4a9619ef4309301ULL);
 }
 
 TEST(ScaleAxis, StreamingWorldCarriesChurnBitmapNotEvents) {
-  auto cfg = ExperimentConfig::make(Preset::kSmall, TopologyKind::kCrawled, 3);
-  shrink(cfg);
-  cfg.stream_trace = true;
+  // A default small world: no knob selects streaming, every world does.
+  const auto cfg =
+      ExperimentConfig::make(Preset::kSmall, TopologyKind::kCrawled, 3);
   const auto world = build_world(cfg);
   EXPECT_TRUE(world.streaming.enabled);
   EXPECT_TRUE(world.trace.events.empty());
   EXPECT_EQ(world.streaming.churned.size(), cfg.content.initial_nodes);
-  EXPECT_GT(world.trace.num_queries, 0u);
+  EXPECT_EQ(world.trace.num_queries, cfg.trace.num_queries);
+  EXPECT_GT(world.trace.num_leaves, 0u);
   EXPECT_GT(world.trace.horizon, 0.0);
 }
 

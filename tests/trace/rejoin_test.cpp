@@ -1,12 +1,15 @@
-// Rejoin (session churn) model tests: departed nodes return with their
-// content intact, and the generator keeps the trace consistent.
+// Rejoin (session churn) model tests on a drained StreamingTraceGenerator:
+// departed nodes return with their content intact, and the generator keeps
+// the trace consistent.
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
+#include "drained_trace.hpp"
 #include "trace/live_content.hpp"
-#include "trace/trace_gen.hpp"
+#include "trace/streaming_trace_gen.hpp"
 
 namespace asap::trace {
 namespace {
@@ -31,25 +34,21 @@ TraceParams churny_params() {
 TEST(Rejoin, EveryLeaverEventuallyRejoinsWithinTrace) {
   Rng rng(31);
   auto model = ContentModel::build(model_params(), rng);
-  Rng gen_rng(32);
-  TraceGenerator gen(model, churny_params(), gen_rng);
-  const auto trace = gen.generate();
-  EXPECT_GT(trace.num_rejoins, 0u);
+  const auto drained = drain(model, churny_params(), Rng(32));
+  EXPECT_GT(drained.num_rejoins, 0u);
   // With mean offline 20 s and a ~150 s trace, most leavers return.
-  EXPECT_GE(trace.num_rejoins, trace.num_leaves / 2);
-  EXPECT_LE(trace.num_rejoins, trace.num_leaves);
+  EXPECT_GE(drained.num_rejoins, drained.num_leaves / 2);
+  EXPECT_LE(drained.num_rejoins, drained.num_leaves);
 }
 
 TEST(Rejoin, RejoinersWereOfflineAndKeepTheirDocs) {
   Rng rng(33);
   auto model = ContentModel::build(model_params(), rng);
-  Rng gen_rng(34);
-  TraceGenerator gen(model, churny_params(), gen_rng);
-  const auto trace = gen.generate();
+  const auto drained = drain(model, churny_params(), Rng(34));
 
   LiveContent live(model);
   std::set<NodeId> offline;
-  for (const auto& ev : trace.events) {
+  for (const auto& ev : drained.events) {
     if (ev.type == TraceEventType::kRejoin) {
       EXPECT_FALSE(live.online(ev.node)) << "rejoin of an online node";
       EXPECT_TRUE(offline.count(ev.node)) << "rejoin without a leave";
@@ -73,13 +72,11 @@ TEST(Rejoin, QueriesCanTargetRejoinedContent) {
   // match exists at issue time) must still hold throughout.
   Rng rng(35);
   auto model = ContentModel::build(model_params(), rng);
-  Rng gen_rng(36);
-  TraceGenerator gen(model, churny_params(), gen_rng);
-  const auto trace = gen.generate();
+  const auto drained = drain(model, churny_params(), Rng(36));
 
   LiveContent live(model);
   ContentIndex index(model, live);
-  for (const auto& ev : trace.events) {
+  for (const auto& ev : drained.events) {
     if (ev.type == TraceEventType::kQuery) {
       auto matches = index.matching_nodes(ev.term_span(), live, model);
       matches.erase(std::remove(matches.begin(), matches.end(), ev.node),
@@ -96,10 +93,8 @@ TEST(Rejoin, DisabledByDefaultFractionZero) {
   auto model = ContentModel::build(model_params(), rng);
   TraceParams p = churny_params();
   p.rejoin_fraction = 0.0;
-  Rng gen_rng(38);
-  TraceGenerator gen(model, p, gen_rng);
-  const auto trace = gen.generate();
-  EXPECT_EQ(trace.num_rejoins, 0u);
+  const auto drained = drain(model, p, Rng(38));
+  EXPECT_EQ(drained.num_rejoins, 0u);
 }
 
 TEST(Rejoin, RejectsBadParams) {
@@ -107,11 +102,11 @@ TEST(Rejoin, RejectsBadParams) {
   auto model = ContentModel::build(model_params(), rng);
   TraceParams p = churny_params();
   p.rejoin_fraction = 1.5;
-  Rng gen_rng(40);
-  EXPECT_THROW(TraceGenerator(model, p, gen_rng), ConfigError);
+  const Rng gen_rng(40);
+  EXPECT_THROW(StreamingTraceGenerator(model, p, gen_rng), ConfigError);
   p = churny_params();
   p.mean_offline = 0.0;
-  EXPECT_THROW(TraceGenerator(model, p, gen_rng), ConfigError);
+  EXPECT_THROW(StreamingTraceGenerator(model, p, gen_rng), ConfigError);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // StreamingTraceGenerator contracts:
-//   * build mode emits exactly the stream the materializing facade
-//     records — same events bit for bit, same counters, same final RNG
-//     state — at a size with real churn, rejoins and mid-trace mints;
+//   * build mode emits exactly the stream the former materializing
+//     generator recorded — pinned by event count, counters, horizon, an
+//     FNV-1a hash over every event and the final RNG state — at a size
+//     with real churn, rejoins and mid-trace mints;
 //   * replay mode re-derives that identical stream against the *const*
 //     post-build model (mints resolve to the pre-minted ids), never
 //     mutating it;
@@ -12,11 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "trace/content_model.hpp"
-#include "trace/trace_gen.hpp"
 
 namespace asap::trace {
 namespace {
@@ -50,41 +52,48 @@ void expect_same_event(const TraceEvent& a, const TraceEvent& b, int idx) {
   }
 }
 
+/// FNV-1a over every field of every event, byte by byte.
+std::uint64_t stream_hash(const std::vector<TraceEvent>& events) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& e : events) {
+    mix(std::bit_cast<std::uint64_t>(e.time));
+    mix(static_cast<std::uint64_t>(e.type));
+    mix(e.node);
+    mix(e.doc);
+    mix(e.num_terms);
+    for (std::uint8_t t = 0; t < e.num_terms; ++t) mix(e.terms[t]);
+  }
+  return h;
+}
+
 TEST(StreamingTraceGenerator, BuildModeMatchesMaterializingFacade) {
-  const auto mp = small_model_params();
-  const auto tp = busy_trace_params();
-
-  Rng content_a(99), content_b(99);
-  auto model_a = ContentModel::build(mp, content_a);
-  auto model_b = ContentModel::build(mp, content_b);
-
-  Rng trace_a(1234);
-  TraceGenerator facade(model_a, tp, trace_a);
-  const Trace t = facade.generate();
-  ASSERT_GT(t.num_rejoins, 0u);  // the busy params must exercise rejoins
-
-  Rng trace_b(1234);
-  StreamingTraceGenerator stream(model_b, tp, trace_b);
+  // The pins were recorded from the former materializing generator before
+  // it was deleted; build mode must still emit that stream bit for bit.
+  Rng content(99);
+  auto model = ContentModel::build(small_model_params(), content);
+  StreamingTraceGenerator stream(model, busy_trace_params(), Rng(1234));
   std::vector<TraceEvent> events;
   TraceEvent ev;
   while (stream.next(ev)) events.push_back(ev);
 
-  ASSERT_EQ(events.size(), t.events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    expect_same_event(t.events[i], events[i], static_cast<int>(i));
-  }
-  EXPECT_EQ(stream.num_queries(), t.num_queries);
-  EXPECT_EQ(stream.num_changes(), t.num_changes);
-  EXPECT_EQ(stream.num_joins(), t.num_joins);
-  EXPECT_EQ(stream.num_leaves(), t.num_leaves);
-  EXPECT_EQ(stream.num_rejoins(), t.num_rejoins);
-  EXPECT_EQ(stream.last_event_time(), t.horizon);
-  // Both paths minted the same documents into their models.
-  EXPECT_EQ(model_a.num_docs(), model_b.num_docs());
-  // The facade handed the final stream state back to the caller's RNG;
-  // the streaming generator must report the identical state.
+  ASSERT_GT(stream.num_rejoins(), 0u);  // the busy params exercise rejoins
+  EXPECT_EQ(events.size(), 2'613u);
+  EXPECT_EQ(stream.num_queries(), 2'000u);
+  EXPECT_EQ(stream.num_changes(), 428u);
+  EXPECT_EQ(stream.num_joins(), 80u);
+  EXPECT_EQ(stream.num_leaves(), 80u);
+  EXPECT_EQ(stream.num_rejoins(), 25u);
+  EXPECT_EQ(stream.last_event_time(), 248.17750989107898);
+  EXPECT_EQ(model.num_docs(), 16'439u);  // the same mints landed
+  EXPECT_EQ(stream_hash(events), 0x29f5b2c35feab3dfULL);
   Rng stream_final = stream.rng_state();
-  EXPECT_EQ(trace_a.next_u64(), stream_final.next_u64());
+  EXPECT_EQ(stream_final.next_u64(), 0xe26ada3cfb516abbULL);
 }
 
 TEST(StreamingTraceGenerator, ReplayModeReproducesBuildStreamAgainstConstModel) {

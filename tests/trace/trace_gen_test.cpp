@@ -1,12 +1,15 @@
-#include "trace/trace_gen.hpp"
-
+// Trace-generator contracts (paper §IV-B), checked on a drained
+// StreamingTraceGenerator: counts, ordering, arrival rate, a live match for
+// every query, interested online requesters, and consistent churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "drained_trace.hpp"
 #include "trace/live_content.hpp"
+#include "trace/streaming_trace_gen.hpp"
 
 namespace asap::trace {
 namespace {
@@ -31,20 +34,18 @@ class TraceGenTest : public ::testing::Test {
   static void SetUpTestSuite() {
     Rng rng(21);
     model_ = new ContentModel(ContentModel::build(model_params(), rng));
-    Rng gen_rng(22);
-    TraceGenerator gen(*model_, trace_params(), gen_rng);
-    trace_ = new Trace(gen.generate());
+    trace_ = new DrainedTrace(drain(*model_, trace_params(), Rng(22)));
   }
   static void TearDownTestSuite() {
     delete trace_;
     delete model_;
   }
   static ContentModel* model_;
-  static Trace* trace_;
+  static DrainedTrace* trace_;
 };
 
 ContentModel* TraceGenTest::model_ = nullptr;
-Trace* TraceGenTest::trace_ = nullptr;
+DrainedTrace* TraceGenTest::trace_ = nullptr;
 
 TEST_F(TraceGenTest, EventCountsMatchParams) {
   EXPECT_EQ(trace_->num_queries, trace_params().num_queries);
@@ -155,35 +156,39 @@ TEST(TraceGenValidation, RejectsBadParams) {
   auto model = ContentModel::build(model_params(), rng);
   TraceParams p = trace_params();
   p.joins = 10'000;  // more than joiner slots
-  Rng rng2(2);
-  EXPECT_THROW(TraceGenerator(model, p, rng2), ConfigError);
+  const Rng rng2(2);
+  EXPECT_THROW(StreamingTraceGenerator(model, p, rng2), ConfigError);
   p = trace_params();
   p.num_queries = 0;
-  EXPECT_THROW(TraceGenerator(model, p, rng2), ConfigError);
+  EXPECT_THROW(StreamingTraceGenerator(model, p, rng2), ConfigError);
 }
 
 TEST(TraceGenValidation, GenerateIsSingleUse) {
+  // A generator yields its stream once; an exhausted one stays exhausted.
   Rng rng(3);
   auto model = ContentModel::build(model_params(), rng);
   TraceParams p = trace_params();
   p.num_queries = 50;
   p.joins = 0;
   p.leaves = 0;
-  Rng rng2(4);
-  TraceGenerator gen(model, p, rng2);
-  gen.generate();
-  EXPECT_THROW(gen.generate(), ConfigError);
+  StreamingTraceGenerator gen(model, p, Rng(4));
+  TraceEvent ev;
+  std::uint32_t events = 0;
+  while (gen.next(ev)) ++events;
+  EXPECT_GE(events, p.num_queries);
+  EXPECT_FALSE(gen.next(ev));
+  EXPECT_FALSE(gen.next(ev));
+  EXPECT_EQ(gen.num_queries(), p.num_queries);
 }
 
 TEST(TraceGenDeterminism, SameSeedsSameTrace) {
   Rng ra(5), rb(5);
   auto ma = ContentModel::build(model_params(), ra);
   auto mb = ContentModel::build(model_params(), rb);
-  Rng ga(6), gb(6);
   TraceParams p = trace_params();
   p.num_queries = 300;
-  auto ta = TraceGenerator(ma, p, ga).generate();
-  auto tb = TraceGenerator(mb, p, gb).generate();
+  const auto ta = drain(ma, p, Rng(6));
+  const auto tb = drain(mb, p, Rng(6));
   ASSERT_EQ(ta.events.size(), tb.events.size());
   for (std::size_t i = 0; i < ta.events.size(); ++i) {
     EXPECT_EQ(ta.events[i].type, tb.events[i].type);

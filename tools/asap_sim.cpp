@@ -40,7 +40,6 @@ struct CliArgs {
   std::uint32_t queries = 0;  // 0 = preset default
   std::size_t jobs = 0;
   std::uint32_t scale = 0;   // node-count override (0 = preset default)
-  bool stream_trace = false;  // force on-demand trace synthesis
   std::string csv_path;
   bool audit = false;
 
@@ -123,11 +122,7 @@ void print_usage() {
   --queries N                 override query count
   --jobs N                    parallel cells (default: hardware, max 1024)
   --scale N                   re-dimension the world to N peers (the scale
-                              axis, DESIGN.md section 15); >= 100k nodes
-                              auto-enable streaming trace synthesis
-  --stream-trace              synthesize trace events on demand instead of
-                              materializing them (bit-identical digests;
-                              forced on by --scale >= 100k)
+                              axis, DESIGN.md section 15)
   --csv FILE                  also write results as CSV
   --audit                     run the simulation invariant auditor; any
                               violation is reported and exits nonzero
@@ -270,8 +265,6 @@ CliArgs parse(int argc, char** argv) {
       args.jobs = parse_uint<std::size_t>(flag, next(), kMaxJobs);
     } else if (flag == "--scale") {
       args.scale = parse_uint<std::uint32_t>(flag, next());
-    } else if (flag == "--stream-trace") {
-      args.stream_trace = true;
     } else if (flag == "--csv") {
       args.csv_path = next();
     } else if (flag == "--audit") {
@@ -410,7 +403,6 @@ int run_matrix_mode(const CliArgs& args) {
   spec.jobs = args.jobs;
   spec.queries = args.queries;
   spec.scale = args.scale;
-  spec.stream_trace = args.stream_trace;
   spec.options.audit = args.audit;
   if (!args.fault_scenarios.empty()) {
     spec.fault_scenarios = args.fault_scenarios;
@@ -503,11 +495,9 @@ int main(int argc, char** argv) {
       auto cfg = harness::ExperimentConfig::make(args.preset, topo, args.seed);
       if (args.queries != 0) cfg.trace.num_queries = args.queries;
       if (args.scale != 0) cfg.apply_scale(args.scale);
-      if (args.stream_trace) cfg.stream_trace = true;
       std::cerr << "building " << harness::topology_name(topo)
                 << " world (" << cfg.content.initial_nodes << " peers, "
-                << cfg.trace.num_queries << " queries"
-                << (cfg.stream_trace ? ", streaming trace" : "") << ")...\n";
+                << cfg.trace.num_queries << " queries)...\n";
       const auto world = harness::build_world(cfg);
 
       ThreadPool pool(args.jobs);

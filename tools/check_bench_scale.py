@@ -14,8 +14,6 @@ re-check):
   * a 1,000,000-node row exists,
   * its overlay + node-state footprint is <= MAX_BYTES_PER_NODE
     bytes per node,
-  * every row at >= STREAMING_FLOOR nodes ran with streaming trace
-    synthesis (no materialized event vector),
   * the 1M world build stayed under MAX_BUILD_SECONDS (catches an
     accidental O(n^2) regression in a generator, with a wide margin
     for slow machines).
@@ -29,8 +27,6 @@ NUM = (int, float)
 # <= ~150 bytes per node.
 MAX_BYTES_PER_NODE = 150.0
 MILLION = 1_000_000
-# apply_scale() turns streaming synthesis on at 100k nodes and up.
-STREAMING_FLOOR = 100_000
 # 1M world build wall-clock ceiling (generous: ~20x the measured value).
 MAX_BUILD_SECONDS = 600.0
 
@@ -39,7 +35,6 @@ REQUIRED_FIELDS = {
     "nodes": NUM,
     "algo": str,
     "queries": NUM,
-    "streaming": bool,
     "world_build_seconds": NUM,
     "run_wall_seconds": NUM,
     "engine_events": NUM,
@@ -105,11 +100,6 @@ def main():
     for s, srows in by_scale.items():
         if not any(r["algo"] == "random-walk" for r in srows):
             fail(f"scale {s}: no random-walk row")
-        for r in srows:
-            want_stream = s >= STREAMING_FLOOR
-            if r["streaming"] != want_stream:
-                fail(f"scale {s} ({r['algo']}): streaming={r['streaming']}, "
-                     f"expected {want_stream}")
 
     if enforce:
         if MILLION not in by_scale:
