@@ -51,10 +51,18 @@ TEST(ApplyScale, RedimensionsEveryCoupledKnob) {
   const auto slots = static_cast<std::uint64_t>(cfg.phys.total_stub_domains()) *
                      cfg.phys.stub_nodes_per_domain;
   EXPECT_GE(slots, 55'000u);
+}
 
+TEST(ApplyScale, SmallScaleKeepsMaterializedTraces) {
+  // Every world now streams its trace; what this still pins is that a
+  // small scale re-dimensions the world without any size switch, so the
+  // trace keeps the preset's query count.
+  auto cfg = ExperimentConfig::make(Preset::kSmall, TopologyKind::kCrawled, 1);
+  const auto queries = cfg.trace.num_queries;
   cfg.apply_scale(10'000);
   EXPECT_EQ(cfg.scale, 10'000u);
   EXPECT_EQ(cfg.content.initial_nodes, 10'000u);
+  EXPECT_EQ(cfg.trace.num_queries, queries);
 }
 
 TEST(ScaleAxis, SpecRoundTripsThroughResultsJson) {
