@@ -1,6 +1,6 @@
 // Micro-benchmarks of the ads-cache lookup: legacy hash-per-term scan vs
 // the hashed-query fast path (one-shot hashing + 8-byte prefilter +
-// rarest-term-first early exit).
+// HashedQuery::matches over the surviving entries, terms in query order).
 //
 // Two modes:
 //   * default            — the usual google-benchmark suite,

@@ -1,7 +1,6 @@
 #include "asap/ad_cache.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/error.hpp"
 
@@ -14,35 +13,8 @@ std::uint64_t AdCache::prefilter_for(const AdPayload& ad) const {
   return ad.filter.fold();
 }
 
-void AdCache::fold_count_add(std::uint64_t word) {
-  if (word == 0) return;
-  if (!fold_count_) {
-    fold_count_ = std::make_unique<std::array<std::uint32_t, 64>>();
-    fold_count_->fill(0);
-  }
-  while (word != 0) {
-    ++(*fold_count_)[static_cast<std::size_t>(std::countr_zero(word))];
-    word &= word - 1;
-  }
-}
-
-void AdCache::fold_count_remove(std::uint64_t word) {
-  if (word == 0) return;
-  ASAP_DCHECK(fold_count_ != nullptr);
-  while (word != 0) {
-    auto& c =
-        (*fold_count_)[static_cast<std::size_t>(std::countr_zero(word))];
-    ASAP_DCHECK(c > 0);
-    --c;
-    word &= word - 1;
-  }
-}
-
 void AdCache::set_payload(std::size_t idx, AdPayloadPtr ad) {
-  const std::uint64_t pre = prefilter_for(*ad);
-  fold_count_remove(prefilter_[idx]);
-  fold_count_add(pre);
-  prefilter_[idx] = pre;
+  prefilter_[idx] = prefilter_for(*ad);
   entries_[idx].ad = std::move(ad);
 }
 
@@ -106,8 +78,7 @@ AdCache::PutResult AdCache::put(AdPayloadPtr ad, double now, Rng& rng) {
     r.evicted = true;
   }
   pos_.emplace(src, static_cast<std::uint32_t>(entries_.size()));
-  const std::uint64_t pre = prefilter_for(*ad);
-  fold_count_add(pre);
+  prefilter_.push_back(prefilter_for(*ad));
   sources_.push_back(src);
   Entry entry;
   entry.base = ad;
@@ -115,7 +86,6 @@ AdCache::PutResult AdCache::put(AdPayloadPtr ad, double now, Rng& rng) {
   entry.touch = now;
   if (implausible) entry.trust = 0.0;
   entries_.push_back(std::move(entry));
-  prefilter_.push_back(pre);
   r.stored = true;
   return r;
 }
@@ -199,7 +169,6 @@ bool AdCache::readmit_blocked(NodeId source, double now) const {
 
 void AdCache::erase_at(std::size_t idx) {
   ASAP_DCHECK(idx < entries_.size());
-  fold_count_remove(prefilter_[idx]);
   pos_.erase(sources_[idx]);
   const std::size_t last = entries_.size() - 1;
   if (idx != last) {
@@ -223,12 +192,6 @@ const AdCache::Entry* AdCache::find(NodeId source) const {
 void AdCache::touch(NodeId source, double now) {
   const std::uint32_t* idxp = pos_.find(source);
   if (idxp != nullptr) entries_[*idxp].touch = now;
-}
-
-std::uint32_t AdCache::record_timeout(NodeId source) {
-  const std::uint32_t* idxp = pos_.find(source);
-  if (idxp == nullptr) return 0;
-  return ++entries_[*idxp].timeout_strikes;
 }
 
 void AdCache::reset_timeouts(NodeId source) {
@@ -306,8 +269,7 @@ bool AdCache::quarantined(NodeId source, double now) const {
 std::uint64_t AdCache::memory_bytes() const {
   return sources_.capacity() * sizeof(NodeId) +
          entries_.capacity() * sizeof(Entry) +
-         prefilter_.capacity() * sizeof(std::uint64_t) +
-         (fold_count_ ? sizeof(*fold_count_) : 0) + pos_.memory_bytes() +
+         prefilter_.capacity() * sizeof(std::uint64_t) + pos_.memory_bytes() +
          struck_.memory_bytes() + quar_.memory_bytes();
 }
 
@@ -374,73 +336,20 @@ void AdCache::collect_for_reply(std::span<const KeywordId> terms,
   }
 }
 
-std::size_t AdCache::order_terms(
-    const bloom::HashedQuery& query,
-    std::array<std::uint8_t, kMaxOrderedTerms>& order) const {
-  const std::size_t n = query.size();
-  if (n > kMaxOrderedTerms) return 0;  // oversized query: natural order
-  const auto keys = query.keys();
-  std::array<std::uint32_t, kMaxOrderedTerms> selectivity{};
-  for (std::size_t t = 0; t < n; ++t) {
-    // At most fold_count_[j] entries have fold bit j, so the rarest bit of
-    // the term's mask bounds how many entries the term can match. A null
-    // array reads as all-zero counts.
-    std::uint64_t mask = keys[t].fold_mask();
-    std::uint32_t s = ~0U;
-    if (fold_count_) {
-      while (mask != 0) {
-        const auto b = static_cast<std::size_t>(std::countr_zero(mask));
-        s = std::min(s, (*fold_count_)[b]);
-        mask &= mask - 1;
-      }
-    } else if (mask != 0) {
-      s = 0;
-    }
-    selectivity[t] = s;
-    order[t] = static_cast<std::uint8_t>(t);
-  }
-  std::sort(order.begin(), order.begin() + n,
-            [&selectivity](std::uint8_t a, std::uint8_t b) {
-              if (selectivity[a] != selectivity[b]) {
-                return selectivity[a] < selectivity[b];
-              }
-              return a < b;  // deterministic tie-break
-            });
-  return n;
-}
-
 bool AdCache::entry_matches(std::size_t idx, const bloom::HashedQuery& query,
-                            std::span<const std::uint8_t> order) const {
-  const bloom::BloomFilter& filter = entries_[idx].ad->filter;
-  if (filter.params() != query.params()) {
-    return filter.contains_all(query.terms());
-  }
-  const auto words = filter.words();
-  const auto keys = query.keys();
-  if (order.empty()) {
-    for (const bloom::HashedKey& k : keys) {
-      if (!k.present_in(words)) return false;
-    }
-    return true;
-  }
-  for (const std::uint8_t t : order) {
-    if (!keys[t].present_in(words)) return false;
-  }
-  return true;
+                            bool prefilter_ok) const {
+  const std::uint64_t need = query.fold_mask_all();
+  if (prefilter_ok && (prefilter_[idx] & need) != need) return false;
+  return query.matches(entries_[idx].ad->filter);
 }
 
 void AdCache::collect_matches(const bloom::HashedQuery& query,
                               std::vector<AdPayloadPtr>& out) const {
   out.clear();
   if (!query.empty()) {
-    std::array<std::uint8_t, kMaxOrderedTerms> order_buf;
-    const std::size_t ordered = order_terms(query, order_buf);
-    const std::span<const std::uint8_t> order{order_buf.data(), ordered};
-    const std::uint64_t need = query.fold_mask_all();
     const bool prefilter_ok = query.params() == canonical_;
     for (std::size_t i = 0; i < entries_.size(); ++i) {
-      if (prefilter_ok && (prefilter_[i] & need) != need) continue;
-      if (entry_matches(i, query, order)) out.push_back(entries_[i].ad);
+      if (entry_matches(i, query, prefilter_ok)) out.push_back(entries_[i].ad);
     }
   }
 #ifdef ASAP_AUDIT_FORCE_ON
@@ -458,14 +367,9 @@ void AdCache::collect_for_reply(const bloom::HashedQuery& query,
                                 std::uint32_t max_topical,
                                 std::vector<AdPayloadPtr>& out) const {
   out.clear();
-  std::array<std::uint8_t, kMaxOrderedTerms> order_buf;
-  const std::size_t ordered = order_terms(query, order_buf);
-  const std::span<const std::uint8_t> order{order_buf.data(), ordered};
-  const std::uint64_t need = query.fold_mask_all();
   const bool prefilter_ok = query.params() == canonical_;
   const auto matches = [&](std::size_t i) {
-    if (prefilter_ok && (prefilter_[i] & need) != need) return false;
-    return entry_matches(i, query, order);
+    return !query.empty() && entry_matches(i, query, prefilter_ok);
   };
   // Pass 1: ads that already satisfy the query terms.
   bool truncated = false;
@@ -474,14 +378,14 @@ void AdCache::collect_for_reply(const bloom::HashedQuery& query,
       truncated = true;
       break;
     }
-    if (!query.empty() && matches(i)) out.push_back(entries_[i].ad);
+    if (matches(i)) out.push_back(entries_[i].ad);
   }
   // Pass 2: up to max_topical ads topically relevant to the requester.
   if (!truncated) {
     std::uint32_t topical = 0;
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       if (out.size() >= max_ads || topical >= max_topical) break;
-      if (!query.empty() && matches(i)) continue;  // already included
+      if (matches(i)) continue;  // already included
       if (topics_overlap(entries_[i].ad->topics, interests)) {
         out.push_back(entries_[i].ad);
         ++topical;

@@ -12,10 +12,10 @@
 // (collect_matches / collect_for_reply over a HashedQuery) walks the dense
 // 8-byte prefilter array first — each word is the fold of that entry's
 // Bloom filter (bloom/hashed_query.hpp) — and only entries whose fold
-// covers the query's fold mask touch their ~1.4 KB filter. Query terms are
-// tested rarest-fold-bit-first so mismatching entries exit early. Under
-// ASAP_AUDIT every hashed scan is re-run through the legacy hash-per-term
-// path and the results compared.
+// covers the query's fold mask touch their ~1.4 KB filter, through
+// HashedQuery::matches (terms in query order). Under ASAP_AUDIT every
+// hashed scan is re-run through the legacy hash-per-term path and the
+// results compared.
 //
 // Version discipline:
 //   * a full ad replaces whatever is cached for its source,
@@ -39,9 +39,7 @@
 // exactly like erase().
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -147,14 +145,13 @@ class AdCache {
   const Entry* find(NodeId source) const;
   void touch(NodeId source, double now);
 
-  /// Records one confirm timeout against `source`; returns the updated
-  /// consecutive-strike count (0 when the source is not cached).
-  std::uint32_t record_timeout(NodeId source);
-  /// Chain-aware twin: the timeout belongs to a confirm attempt chain
-  /// spanning [chain_start, chain_end). With the strike-chain guard on
-  /// (set_strike_per_chain), a chain that started before the last counted
-  /// chain ended is the same evidence window — the count is returned
-  /// unchanged instead of double-counting. Guard off = legacy behaviour.
+  /// Records one confirm timeout against `source`, from a confirm attempt
+  /// chain spanning [chain_start, chain_end); returns the updated
+  /// consecutive-strike count (0 when the source is not cached). With the
+  /// strike-chain guard on (set_strike_per_chain), a chain that started
+  /// before the last counted chain ended is the same evidence window — the
+  /// count is returned unchanged instead of double-counting. Guard off:
+  /// every timeout counts.
   std::uint32_t record_timeout(NodeId source, double chain_start,
                                double chain_end);
   /// Clears the strike count (a confirm reply proved the source alive).
@@ -202,8 +199,8 @@ class AdCache {
                        std::vector<AdPayloadPtr>& out) const;
 
   /// Fast path: same result set and order as the span overload, but all
-  /// hashing happened once at query-origin time and most non-matching
-  /// entries are rejected by the 8-byte prefilter.
+  /// hashing happened once at query-origin time; each entry the 8-byte
+  /// prefilter passes is tested with HashedQuery::matches.
   void collect_matches(const bloom::HashedQuery& query,
                        std::vector<AdPayloadPtr>& out) const;
 
@@ -247,37 +244,18 @@ class AdCache {
   /// prefilter, always scan") so foreign-geometry entries stay correct.
   std::uint64_t prefilter_for(const AdPayload& ad) const;
   void set_payload(std::size_t idx, AdPayloadPtr ad);
-  void fold_count_add(std::uint64_t word);
-  void fold_count_remove(std::uint64_t word);
 
-  /// Orders query-term indices most-selective-first: ascending by the
-  /// number of cached entries whose prefilter could cover the term's fold
-  /// mask (an upper bound on its matchable entries). Returns the term
-  /// count, or 0 for "use natural order" (oversized queries). Ordering
-  /// only changes how fast a non-match exits, never the matched set.
-  static constexpr std::size_t kMaxOrderedTerms = 8;
-  std::size_t order_terms(const bloom::HashedQuery& query,
-                          std::array<std::uint8_t, kMaxOrderedTerms>& order)
-      const;
-
-  /// Full match test for one entry against the hashed query (prefilter
-  /// already passed). Falls back to the legacy per-term scan on a filter
-  /// geometry mismatch.
+  /// Prefilter, then HashedQuery::matches, for entry `idx`.
+  /// `prefilter_ok` says whether the query's geometry is the canonical one
+  /// the prefilter words were folded for.
   bool entry_matches(std::size_t idx, const bloom::HashedQuery& query,
-                     std::span<const std::uint8_t> order) const;
+                     bool prefilter_ok) const;
 
   std::uint32_t capacity_;
   bloom::BloomParams canonical_;  // prefilter geometry (system default)
   std::vector<NodeId> sources_;
   std::vector<Entry> entries_;
   std::vector<std::uint64_t> prefilter_;
-  // fold_count_[j] = number of entries whose prefilter has bit j set;
-  // drives the rarest-first term ordering. Allocated lazily on the first
-  // nonzero prefilter word — a million idle caches cost 8 bytes each here,
-  // not 256 — and a null array reads as all-zero counts (order_terms then
-  // degrades to natural term order, exactly like the eager all-zero
-  // array did).
-  std::unique_ptr<std::array<std::uint32_t, 64>> fold_count_;
   FlatMap<NodeId, std::uint32_t> pos_;  // source -> index
   /// source -> virtual time until which puts are dropped (erase_stale).
   /// Empty unless a backoff is configured, so vanilla runs never pay a

@@ -20,6 +20,13 @@
 
 namespace asap::ads {
 
+/// Caps on one failure-path ads-request reply: ads in total, and topical
+/// (non-term-matching) ads among them.
+inline constexpr std::uint32_t kAdsReplyMax = 16;
+inline constexpr std::uint32_t kAdsReplyTopicalMax = 8;
+/// Confirmations per lookup round.
+inline constexpr std::uint32_t kMaxConfirms = 8;
+
 /// One ad as shipped: its kind, the canonical payload it carries (or, for
 /// a refresh, announces), and for patch / delta ads the base version and
 /// the toggled filter positions.

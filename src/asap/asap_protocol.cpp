@@ -13,12 +13,6 @@ namespace {
 constexpr Seconds kInfTime = std::numeric_limits<Seconds>::infinity();
 /// Refresh beacons flood shallower than full/patch ads (ASAP(FLD)).
 constexpr std::uint32_t kRefreshFloodTtl = 3;
-/// Caps on one failure-path ads-request reply: ads in total, and topical
-/// (non-term-matching) ads among them.
-constexpr std::uint32_t kAdsReplyMax = 16;
-constexpr std::uint32_t kAdsReplyTopicalMax = 8;
-/// Confirmations per lookup round.
-constexpr std::uint32_t kMaxConfirms = 8;
 /// Byte budget for confirm retries per confirm round, so total-loss
 /// scenarios terminate with bounded cost.
 constexpr Bytes kConfirmRetryBudget = 4'096;
@@ -662,17 +656,8 @@ Seconds AsapProtocol::ads_request_phase(
           skip_sources.end()) {
         continue;  // the requester just saw this source dead
       }
-      const auto r = caches_[p].put(ad, t_back, ctx_.rng);
-      if (r.stored) {
+      if (admit_full(ctx_, caches_[p], p, ad, t_back, &counters_).stored) {
         ++last_request_stored_;
-        ASAP_OBS_HOOK(ctx_.obs, on_ad_stored(p));
-      }
-      if (r.evicted) ASAP_OBS_HOOK(ctx_.obs, on_ad_evicted(p));
-      if (r.readmitted) {
-        ++counters_.readmissions;
-        ASAP_OBS_HOOK(ctx_.obs, on_quarantine_exit(p));
-        ASAP_OBS_HOOK(ctx_.obs,
-                      trace_quarantine(t_back, p, ad->source, "exit"));
       }
       ASAP_AUDIT_HOOK(ctx_.auditor,
                       on_cache_occupancy(caches_[p].size(),

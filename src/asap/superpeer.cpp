@@ -291,7 +291,7 @@ Seconds SuperpeerAsap::confirm_round(
   Seconds best = kInfTime;
   std::uint32_t sent = 0;
   for (const auto& ad : candidates) {
-    if (sent >= params_.max_confirms) break;
+    if (sent >= kMaxConfirms) break;
     const NodeId s = ad->source;
     if (s == requester) continue;
     ++sent;
@@ -359,8 +359,7 @@ Seconds SuperpeerAsap::ads_request_phase(
 
   search::GraphScope scope(ctx_, sp_mesh_);
   auto visit = [&](NodeId v, Seconds t, std::uint32_t) {
-    caches_[v].collect_for_reply(query, {}, params_.ads_reply_max,
-                                 params_.ads_reply_topical_max,
+    caches_[v].collect_for_reply(query, {}, kAdsReplyMax, kAdsReplyTopicalMax,
                                  reply_scratch_);
     Bytes reply_bytes = ctx_.sizes.ads_reply_header;
     for (const auto& ad : reply_scratch_) {

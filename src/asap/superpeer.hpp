@@ -48,10 +48,7 @@ struct SuperpeerParams {
   double refresh_budget_scale = 0.08;
   Seconds refresh_period = 120.0;
   std::uint32_t ads_request_hops = 1;
-  std::uint32_t ads_reply_max = 16;
-  std::uint32_t ads_reply_topical_max = 8;
   std::uint32_t cache_capacity = 4'000;  // superpeers are capable nodes
-  std::uint32_t max_confirms = 8;
   std::uint64_t max_walk_hops = 600;
 
   static SuperpeerParams small(search::Scheme s);

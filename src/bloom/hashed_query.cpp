@@ -5,8 +5,7 @@
 
 namespace asap::bloom {
 
-HashedKey::HashedKey(std::uint64_t key, const BloomParams& params)
-    : key_(key) {
+HashedKey::HashedKey(std::uint64_t key, const BloomParams& params) {
   ASAP_DCHECK(params.hashes <= kMaxHashes);
   probe::for_each_position(key, params.bits, params.hashes,
                            [this](std::uint32_t pos) {
@@ -22,13 +21,10 @@ void HashedQuery::assign(std::span<const KeywordId> terms,
   keys_.clear();
   keys_.reserve(terms_.size());
   fold_all_ = 0;
-  batch_.clear();
   for (const KeywordId term : terms_) {
     const HashedKey& k = keys_.emplace_back(term, params);
     fold_all_ |= k.fold_mask();
-    batch_.add_positions(k.positions());
   }
-  batch_.finalize();
 }
 
 }  // namespace asap::bloom

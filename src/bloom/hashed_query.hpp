@@ -8,13 +8,16 @@
 // it precomputes each term's k bit positions (probe.hpp, divisionless and
 // bit-identical to the legacy sequence), after which every per-node,
 // per-entry membership test is pure word-index/bit-mask tests.
+// HashedQuery::matches() is that test, and the only one the hashed scans
+// run: each term's k bits in turn, terms in query order, the first clear
+// bit ending it (paper Table I: all k bits of every term set).
 //
 // Each HashedKey also carries a 64-bit fold mask (OR of 1 << (pos & 63)
 // over its positions). Because an m-bit filter folds to 64 bits by OR-ing
 // its words — bit j of the fold is the OR of all filter bits at positions
 // ≡ j (mod 64) — "term present in filter" implies "term fold mask covered
 // by filter fold". AdCache keeps that 8-byte fold per entry as a prefilter
-// so most non-matching entries are rejected without touching their ~1.4 KB
+// that rejects some non-matching entries without touching their ~1.4 KB
 // filters (ad_cache.hpp).
 //
 // Precondition: positions are only meaningful against filters built with
@@ -28,7 +31,6 @@
 #include <span>
 #include <vector>
 
-#include "bloom/batch_probe.hpp"
 #include "bloom/bloom.hpp"
 #include "common/types.hpp"
 
@@ -44,7 +46,6 @@ class HashedKey {
   HashedKey() = default;
   HashedKey(std::uint64_t key, const BloomParams& params);
 
-  std::uint64_t key() const { return key_; }
   std::span<const std::uint32_t> positions() const {
     return {pos_.data(), count_};
   }
@@ -62,7 +63,6 @@ class HashedKey {
   }
 
  private:
-  std::uint64_t key_ = 0;
   std::uint64_t fold_mask_ = 0;
   std::uint32_t count_ = 0;
   std::array<std::uint32_t, kMaxHashes> pos_{};
@@ -92,27 +92,24 @@ class HashedQuery {
   /// bits cannot contain all terms.
   std::uint64_t fold_mask_all() const { return fold_all_; }
 
-  /// Position-sorted, word-merged probe plan over all terms
-  /// (batch_probe.hpp) — what matches() executes.
-  const BatchProbe& batch() const { return batch_; }
-
   /// True iff the filter claims every term (the paper's ad match test).
   /// Vacuously true for an empty query, like BloomFilter::contains_all.
   /// Falls back to the legacy hash-per-term scan if the filter's geometry
   /// differs from the one this query was hashed for.
-  ///
-  /// Executes the batch plan: the same conjunction as testing each key's
-  /// present_in() in turn, reassociated into sequential whole-word tests
-  /// (identical answers, so run digests are unchanged — DESIGN.md §12).
+  /// Tests each key's present_in() in term order; the first absent term
+  /// ends the test.
   bool matches(const BloomFilter& f) const {
     if (f.params() != params_) return f.contains_all(terms_);
-    return batch_.all_set(f.words());
+    const auto words = f.words();
+    for (const HashedKey& k : keys_) {
+      if (!k.present_in(words)) return false;
+    }
+    return true;
   }
 
  private:
   std::vector<KeywordId> terms_;
   std::vector<HashedKey> keys_;
-  BatchProbe batch_;
   std::uint64_t fold_all_ = 0;
   BloomParams params_;
 };

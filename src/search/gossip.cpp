@@ -11,6 +11,8 @@ namespace asap::search {
 namespace {
 constexpr Seconds kInfTime = std::numeric_limits<Seconds>::infinity();
 constexpr Bytes kUpdateHeader = 40;
+/// Confirmations per lookup.
+constexpr std::uint32_t kMaxConfirms = 8;
 }  // namespace
 
 GossipIndexSearch::GossipIndexSearch(Ctx& ctx, GossipParams params)
@@ -126,7 +128,7 @@ void GossipIndexSearch::run_query(const trace::TraceEvent& ev) {
   Seconds best = kInfTime;
   std::uint32_t sent = 0;
   for (const NodeId src : sources_) {
-    if (sent >= params_.max_confirms) break;
+    if (sent >= kMaxConfirms) break;
     if (src == p) continue;
     const auto& entry = directory_.at(src);
     if (entry.visible_at > ev.time) continue;  // not yet replicated to p

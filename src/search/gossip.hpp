@@ -36,7 +36,6 @@ struct GossipParams {
   Seconds round_period = 5.0;
   /// Epidemic redundancy: total transmissions per update ~ N * redundancy.
   double redundancy = 1.5;
-  std::uint32_t max_confirms = 8;
 };
 
 class GossipIndexSearch final : public SearchAlgorithm {

@@ -260,34 +260,36 @@ TEST(AdCache, SmallCacheEvictsExactLru) {
 }
 
 TEST(AdCache, TimeoutStrikesAccumulateAndReset) {
+  // The strike-chain guard is off by default, so every timeout counts,
+  // even ones from overlapping confirm attempt chains.
   AdCache c(10);
   Rng rng(20);
   c.put(make_ad(7, 1), 1.0, rng);
-  EXPECT_EQ(c.record_timeout(7), 1u);
-  EXPECT_EQ(c.record_timeout(7), 2u);
+  EXPECT_EQ(c.record_timeout(7, 1.0, 3.0), 1u);
+  EXPECT_EQ(c.record_timeout(7, 2.0, 4.0), 2u);
   EXPECT_EQ(c.find(7)->timeout_strikes, 2u);
   // A confirm reply proves the source alive: strikes clear.
   c.reset_timeouts(7);
   EXPECT_EQ(c.find(7)->timeout_strikes, 0u);
-  EXPECT_EQ(c.record_timeout(7), 1u);
+  EXPECT_EQ(c.record_timeout(7, 5.0, 6.0), 1u);
   // Sources that are not cached cannot strike out.
-  EXPECT_EQ(c.record_timeout(99), 0u);
+  EXPECT_EQ(c.record_timeout(99, 5.0, 6.0), 0u);
   c.erase(7);
-  EXPECT_EQ(c.record_timeout(7), 0u);
+  EXPECT_EQ(c.record_timeout(7, 7.0, 8.0), 0u);
 }
 
 TEST(AdCache, FreshAdClearsTimeoutStrikes) {
   AdCache c(10);
   Rng rng(21);
   c.put(make_ad(7, 1), 1.0, rng);
-  c.record_timeout(7);
-  c.record_timeout(7);
+  c.record_timeout(7, 1.0, 1.5);
+  c.record_timeout(7, 1.0, 1.5);
   // A newer ad from the source is proof of life; the strike count must
   // not survive and evict the replacement.
   c.put(make_ad(7, 2), 2.0, rng);
   EXPECT_EQ(c.find(7)->timeout_strikes, 0u);
   // A stale re-put is not stored and proves nothing.
-  c.record_timeout(7);
+  c.record_timeout(7, 2.0, 2.5);
   c.put(make_ad(7, 1), 3.0, rng);
   EXPECT_EQ(c.find(7)->timeout_strikes, 1u);
 }

@@ -318,6 +318,43 @@ TEST(AsapProtocol, PackedFullAdStrikesAtTheFillGateLikeAStandaloneOne) {
       << "a packed full ad must strike at the fill gate too";
 }
 
+TEST(AsapProtocol, AdsRequestMergeStrikesAtTheFillGate) {
+  // Every honest filter trips this gate, so each full ad the requester
+  // merges from an ads-request reply is one implausible strike, exactly as
+  // a walk delivery would be. A free-riding joiner with one neighbor and a
+  // one-ad reply cap merges exactly one ad through the join-time request.
+  TestWorld w;
+  auto params = test_params();
+  params.trust_fill_gate = 1e-6;
+  params.join_reply_max = 1;
+  AsapProtocol algo(w.ctx, params);
+  warm(w, algo);
+  NodeId joiner = kInvalidNode;
+  for (NodeId n = TestWorld::kNodes;
+       n < TestWorld::kNodes + TestWorld::kJoiners; ++n) {
+    if (w.model.joiner_docs(n).empty()) {
+      joiner = n;
+      break;
+    }
+  }
+  ASSERT_NE(joiner, kInvalidNode) << "the test world has no free-riding joiner";
+  for (NodeId n = TestWorld::kNodes; n < joiner; ++n) {
+    w.overlay.attach_new(4, w.rng);
+  }
+  w.overlay.attach_new(1, w.rng);
+  trace::TraceEvent ev;
+  ev.type = trace::TraceEventType::kJoin;
+  ev.time = 130.0;
+  ev.node = joiner;
+  w.live.apply(ev, w.model);
+  w.index.apply(ev, w.model);
+  const auto strikes_before = algo.counters().trust_strikes;
+  algo.on_trace_event(ev);
+  ASSERT_EQ(algo.cache(joiner).size(), 1u) << "the reply merged one ad";
+  EXPECT_EQ(algo.counters().trust_strikes, strikes_before + 1)
+      << "an ads-request merge must strike at the fill gate";
+}
+
 TEST(AsapProtocol, PaperPresetMatchesPaperParameters) {
   const auto p = AsapParams::paper(search::Scheme::kRandomWalk);
   EXPECT_EQ(p.budget_unit_m0, 3'000u);  // M0 (§IV-A)
